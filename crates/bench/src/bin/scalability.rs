@@ -14,7 +14,7 @@
 //! ```
 
 use leapme::core::blocking::{combined_candidates, evaluate_blocking, EmbeddingBlocker, TokenBlocker};
-use leapme::core::pipeline::{Leapme, LeapmeConfig};
+use leapme::core::pipeline::{Leapme, LeapmeConfig, ScoreOptions};
 use leapme::core::sampling;
 use leapme::data::spec::{generate_dataset, EntityCount};
 use leapme::prelude::*;
@@ -29,6 +29,10 @@ fn main() {
     let dim: usize = args.get_or("dim", 50);
     let seed: u64 = args.get_or("seed", 42);
     let source_counts = [4usize, 8, 16, 24];
+    let opts = ScoreOptions {
+        cancel: None,
+        threads: leapme::features::worker_threads(),
+    };
 
     let spec = Domain::Cameras.spec();
     let embeddings = prepare_embeddings(&[Domain::Cameras], dim, seed);
@@ -65,9 +69,7 @@ fn main() {
         let all_sources: Vec<SourceId> = (0..n).map(|i| SourceId(i as u16)).collect();
         let full: Vec<PropertyPair> = dataset.cross_source_pairs(&all_sources);
         let t0 = Instant::now();
-        let _ = model
-            .score_pairs_parallel(&store, &full, 0)
-            .expect("score full");
+        let _ = model.score(&store, &full, &opts).expect("score full");
         let full_time = t0.elapsed().as_secs_f64();
 
         // Blocked candidate space.
@@ -80,9 +82,7 @@ fn main() {
         let stats = evaluate_blocking(&dataset, &candidates);
         let blocked: Vec<PropertyPair> = candidates.iter().cloned().collect();
         let t1 = Instant::now();
-        let _ = model
-            .score_pairs_parallel(&store, &blocked, 0)
-            .expect("score blocked");
+        let _ = model.score(&store, &blocked, &opts).expect("score blocked");
         let blocked_time = t1.elapsed().as_secs_f64();
 
         println!(

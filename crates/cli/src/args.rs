@@ -11,7 +11,7 @@ pub struct Flags {
 
 /// Flags that stand alone: their presence means `true` and no value
 /// token follows them on the command line.
-const BOOLEAN_FLAGS: &[&str] = &["lenient", "quantized", "resume"];
+const BOOLEAN_FLAGS: &[&str] = &["lenient", "resume"];
 
 impl Flags {
     /// Parse a flag list. Every flag must start with `--` and carry
@@ -62,6 +62,14 @@ impl Flags {
     /// Whether a boolean flag (e.g. `--lenient`) was given.
     pub fn is_set(&self, key: &str) -> bool {
         self.get(key).is_some_and(|v| v != "false" && v != "0")
+    }
+
+    /// Fail with a usage error naming the first flag not in `known`.
+    pub fn reject_unknown(&self, command: &str, known: &[&str]) -> Result<(), CliError> {
+        match self.values.keys().find(|k| !known.contains(&k.as_str())) {
+            Some(key) => Err(CliError::Usage(format!("{command} does not take --{key}"))),
+            None => Ok(()),
+        }
     }
 
     /// Optional typed flag with default; malformed values are an error.

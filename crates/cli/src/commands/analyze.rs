@@ -7,6 +7,9 @@ use crate::CliError;
 use leapme::core::analysis::analyze;
 use leapme::data::model::PropertyPair;
 
+/// Flags this command reads; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["dataset", "graph", "threshold"];
+
 /// Run the command.
 pub fn run(flags: &Flags) -> Result<String, CliError> {
     let dataset = load_dataset(flags.require("dataset")?)?;

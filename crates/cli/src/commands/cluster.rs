@@ -6,6 +6,9 @@ use crate::CliError;
 use leapme::core::cluster::{connected_components, star_clustering, Clustering};
 use std::fmt::Write as _;
 
+/// Flags this command reads; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["graph", "method", "out", "threshold"];
+
 /// Run the command.
 pub fn run(flags: &Flags) -> Result<String, CliError> {
     let graph = load_graph(flags.require("graph")?)?;

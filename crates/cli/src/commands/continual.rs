@@ -18,6 +18,26 @@ use leapme::nn::network::TrainConfig;
 use leapme::nn::schedule::LrSchedule;
 use std::path::Path;
 
+/// Flags this command reads; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &[
+    "corrupt-every",
+    "dim",
+    "drift-threshold",
+    "epochs",
+    "force-refit-every",
+    "journal",
+    "label-budget",
+    "naming-drift",
+    "out",
+    "properties",
+    "properties-per-source",
+    "seed",
+    "sources-per-epoch",
+    "stop-after-epoch",
+    "timeout-secs",
+    "value-drift",
+];
+
 /// Run the command.
 pub fn run(flags: &Flags) -> Result<String, CliError> {
     let properties: usize = flags.get_or("properties", 300usize)?;

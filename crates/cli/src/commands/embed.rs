@@ -7,6 +7,9 @@ use crate::CliError;
 use leapme::embedding::glove::GloVeConfig;
 use leapme::{train_domain_embeddings, EmbeddingTrainingConfig};
 
+/// Flags this command reads; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["dim", "domains", "epochs", "out", "seed"];
+
 /// Run the command.
 pub fn run(flags: &Flags) -> Result<String, CliError> {
     let domains: Vec<_> = flags

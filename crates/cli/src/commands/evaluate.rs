@@ -8,6 +8,9 @@ use leapme::core::metrics::Metrics;
 use leapme::data::model::PropertyPair;
 use std::collections::BTreeSet;
 
+/// Flags this command reads; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["dataset", "graph", "threshold"];
+
 /// Run the command.
 pub fn run(flags: &Flags) -> Result<String, CliError> {
     let dataset = load_dataset(flags.require("dataset")?)?;

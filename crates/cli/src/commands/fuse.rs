@@ -6,6 +6,9 @@ use crate::CliError;
 use leapme::core::cluster::{connected_components, star_clustering};
 use leapme::core::fusion::fuse;
 
+/// Flags this command reads; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["dataset", "graph", "method", "out", "threshold"];
+
 /// Run the command.
 pub fn run(flags: &Flags) -> Result<String, CliError> {
     let dataset = load_dataset(flags.require("dataset")?)?;

@@ -5,6 +5,9 @@ use crate::args::Flags;
 use crate::CliError;
 use leapme::data::domains::generate;
 
+/// Flags this command reads; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["domain", "out", "seed"];
+
 /// Run the command.
 pub fn run(flags: &Flags) -> Result<String, CliError> {
     let domain = parse_domain(flags.require("domain")?)?;

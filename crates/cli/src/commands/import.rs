@@ -6,6 +6,9 @@ use crate::CliError;
 use leapme::data::io::{read_dataset, read_dataset_lenient};
 use std::path::Path;
 
+/// Flags this command reads; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["alignments", "instances", "lenient", "name", "out"];
+
 /// Run the command.
 pub fn run(flags: &Flags) -> Result<String, CliError> {
     let instances = flags.require("instances")?;

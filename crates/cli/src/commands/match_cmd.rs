@@ -21,8 +21,9 @@ use leapme::core::blocking::{
     self, AnnBlocker, EmbeddingBlocker, LshBlocker, RetrievalMode, TokenBlocker,
 };
 use leapme::core::feature_cache;
-use leapme::core::pipeline::{Leapme, LeapmeConfig, LeapmeModel};
+use leapme::core::pipeline::{Leapme, LeapmeConfig, LeapmeModel, ScoreOptions};
 use leapme::core::sampling;
+use leapme::core::simgraph::SimilarityGraph;
 use leapme::data::io::atomic_write;
 use leapme::data::model::{PropertyPair, SourceId};
 use leapme::data::stress::{generate_stress_dataset, StressConfig};
@@ -31,6 +32,27 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::path::Path;
+
+/// Flags this command reads; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &[
+    "blocking",
+    "blocking-k",
+    "dataset",
+    "embeddings",
+    "feature-cache",
+    "fuzzy-oov",
+    "model",
+    "out",
+    "save-model",
+    "seed",
+    "stress",
+    "stress-dim",
+    "stress-seed",
+    "threshold",
+    "timeout-secs",
+    "train-fraction",
+    "train-sources",
+];
 
 /// Run the command.
 pub fn run(flags: &Flags) -> Result<String, CliError> {
@@ -249,33 +271,14 @@ pub fn run(flags: &Flags) -> Result<String, CliError> {
             ));
         }
     }
-    // `--quantized` scores through the int8 inference path, but only if
-    // a calibration batch stays within the documented tolerance of the
-    // f32 reference — otherwise the run falls back transparently and
-    // says so (DESIGN.md §11).
-    let graph = if flags.is_set("quantized") {
-        let (graph, report) = model
-            .predict_graph_quantized_cancellable(&store, &candidates, Some(&check))
-            .map_err(|e| pipeline_err(e, NOTHING_SAVED))?;
-        if report.used_quantized {
-            warnings.push_str(&format!(
-                "quantized scoring: int8 path active \
-                 (calibration max |Δp| {:.5} over {} pairs)\n",
-                report.calibration_max_abs_error, report.calibration_pairs,
-            ));
-        } else {
-            warnings.push_str(&format!(
-                "quantized scoring: calibration error {:.5} exceeded tolerance, \
-                 fell back to exact f32 scoring\n",
-                report.calibration_max_abs_error,
-            ));
-        }
-        graph
-    } else {
-        model
-            .predict_graph_cancellable(&store, &candidates, Some(&check))
-            .map_err(|e| pipeline_err(e, NOTHING_SAVED))?
+    let opts = ScoreOptions {
+        cancel: Some(&check),
+        threads: 1,
     };
+    let scores = model
+        .score(&store, &candidates, &opts)
+        .map_err(|e| pipeline_err(e, NOTHING_SAVED))?;
+    let graph: SimilarityGraph = candidates.into_iter().zip(scores).collect();
     atomic_write(
         Path::new(out),
         to_json_pretty(&graph, "similarity graph")?.as_bytes(),
@@ -303,7 +306,6 @@ pub fn run(flags: &Flags) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leapme::core::simgraph::SimilarityGraph;
     use leapme::data::domains::{generate, Domain};
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -312,20 +314,29 @@ mod tests {
         dir.join(name)
     }
 
-    /// Build the shared fixture: a dataset file and an embedding file.
+    /// Build the shared fixture once per test process: a dataset file
+    /// and an embedding file. Tests run on parallel threads, so writing
+    /// the files per test would let one test read a file another is
+    /// rewriting.
     fn fixture() -> (std::path::PathBuf, std::path::PathBuf) {
-        let ds_path = tmp("match_ds.json");
-        std::fs::write(&ds_path, generate(Domain::Tvs, 2).to_json()).unwrap();
-        let emb_path = tmp("match_emb.txt");
-        // Quick low-dim embeddings to keep the test fast.
-        crate::commands::embed::run(&Flags::from_pairs(&[
-            ("domains", "tvs"),
-            ("dim", "8"),
-            ("epochs", "2"),
-            ("out", emb_path.to_str().unwrap()),
-        ]))
-        .unwrap();
-        (ds_path, emb_path)
+        static FIXTURE: std::sync::OnceLock<(std::path::PathBuf, std::path::PathBuf)> =
+            std::sync::OnceLock::new();
+        FIXTURE
+            .get_or_init(|| {
+                let ds_path = tmp("match_ds.json");
+                std::fs::write(&ds_path, generate(Domain::Tvs, 2).to_json()).unwrap();
+                let emb_path = tmp("match_emb.txt");
+                // Quick low-dim embeddings to keep the test fast.
+                crate::commands::embed::run(&Flags::from_pairs(&[
+                    ("domains", "tvs"),
+                    ("dim", "8"),
+                    ("epochs", "2"),
+                    ("out", emb_path.to_str().unwrap()),
+                ]))
+                .unwrap();
+                (ds_path, emb_path)
+            })
+            .clone()
     }
 
     #[test]
@@ -497,32 +508,6 @@ mod tests {
         for p in [graph_a, graph_b, cache_path] {
             std::fs::remove_file(p).ok();
         }
-    }
-
-    #[test]
-    fn quantized_flag_reports_path_and_scores_pairs() {
-        let (ds, emb) = fixture();
-        let graph_path = tmp("match_graph_quantized.json");
-        let msg = run(&Flags::from_pairs(&[
-            ("dataset", ds.to_str().unwrap()),
-            ("embeddings", emb.to_str().unwrap()),
-            ("train-sources", "0,1,2,3,4,5"),
-            ("quantized", "true"),
-            ("out", graph_path.to_str().unwrap()),
-        ]))
-        .unwrap();
-        // Either outcome is legitimate (the calibration gate decides),
-        // but the run must say which path scored the graph.
-        assert!(msg.contains("quantized scoring:"), "{msg}");
-        assert!(
-            msg.contains("int8 path active") || msg.contains("fell back to exact f32"),
-            "{msg}"
-        );
-        assert!(msg.contains("scored pairs"), "{msg}");
-        let graph: SimilarityGraph =
-            serde_json::from_str(&std::fs::read_to_string(&graph_path).unwrap()).unwrap();
-        assert!(!graph.is_empty());
-        std::fs::remove_file(graph_path).ok();
     }
 
     #[test]

@@ -24,6 +24,9 @@ use leapme::serve::snapshot;
 use std::fmt::Write as _;
 use std::path::Path;
 
+/// Flags this command reads; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["dir", "out", "upgrade"];
+
 /// Run the command.
 pub fn run(flags: &Flags) -> Result<String, CliError> {
     match (flags.get("dir"), flags.get("upgrade")) {

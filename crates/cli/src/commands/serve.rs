@@ -23,6 +23,26 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Flags this command reads; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &[
+    "addr",
+    "dataset",
+    "embeddings",
+    "feature-cache",
+    "fuzzy-oov",
+    "io-timeout-ms",
+    "journal",
+    "keep-alive-max",
+    "max-body-bytes",
+    "model",
+    "models",
+    "queue-depth",
+    "request-timeout-ms",
+    "resident-budget-mb",
+    "snapshot",
+    "workers",
+];
+
 /// Run the command. Blocks until a signal starts the drain.
 pub fn run(flags: &Flags) -> Result<String, CliError> {
     if flags.get("models").is_some() {

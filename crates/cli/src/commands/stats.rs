@@ -5,6 +5,9 @@ use crate::args::Flags;
 use crate::CliError;
 use std::fmt::Write as _;
 
+/// Flags this command reads; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["dataset"];
+
 /// Run the command.
 pub fn run(flags: &Flags) -> Result<String, CliError> {
     let dataset = load_dataset(flags.require("dataset")?)?;

@@ -24,6 +24,23 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
 
+/// Flags this command reads; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &[
+    "checkpoint",
+    "checkpoint-every",
+    "dataset",
+    "embeddings",
+    "feature-cache",
+    "fuzzy-oov",
+    "resume",
+    "save",
+    "seed",
+    "threshold",
+    "timeout-secs",
+    "train-fraction",
+    "train-sources",
+];
+
 /// Run the command.
 pub fn run(flags: &Flags) -> Result<String, CliError> {
     let seed: u64 = flags.get_or("seed", 42)?;
@@ -138,18 +155,28 @@ mod tests {
         dir.join(name)
     }
 
+    /// Build the shared fixture once per test process: a dataset file
+    /// and an embedding file. Tests run on parallel threads, so writing
+    /// the files per test would let one test read a file another is
+    /// rewriting.
     fn fixture() -> (std::path::PathBuf, std::path::PathBuf) {
-        let ds_path = tmp("train_ds.json");
-        std::fs::write(&ds_path, generate(Domain::Tvs, 2).to_json()).unwrap();
-        let emb_path = tmp("train_emb.txt");
-        crate::commands::embed::run(&Flags::from_pairs(&[
-            ("domains", "tvs"),
-            ("dim", "8"),
-            ("epochs", "2"),
-            ("out", emb_path.to_str().unwrap()),
-        ]))
-        .unwrap();
-        (ds_path, emb_path)
+        static FIXTURE: std::sync::OnceLock<(std::path::PathBuf, std::path::PathBuf)> =
+            std::sync::OnceLock::new();
+        FIXTURE
+            .get_or_init(|| {
+                let ds_path = tmp("train_ds.json");
+                std::fs::write(&ds_path, generate(Domain::Tvs, 2).to_json()).unwrap();
+                let emb_path = tmp("train_emb.txt");
+                crate::commands::embed::run(&Flags::from_pairs(&[
+                    ("domains", "tvs"),
+                    ("dim", "8"),
+                    ("epochs", "2"),
+                    ("out", emb_path.to_str().unwrap()),
+                ]))
+                .unwrap();
+                (ds_path, emb_path)
+            })
+            .clone()
     }
 
     #[test]

@@ -34,6 +34,10 @@
 pub mod args;
 pub mod commands;
 
+use commands::{
+    analyze, cluster, continual, embed, evaluate, fuse, generate, import, match_cmd, registry,
+    serve, stats, train,
+};
 use std::fmt;
 use std::sync::atomic::AtomicBool;
 
@@ -192,30 +196,43 @@ EXIT CODES:
     (deadline or SIGINT; durable state was saved first)
 ";
 
+/// A subcommand's entry point.
+type Command = fn(&args::Flags) -> Result<String, CliError>;
+
+/// Every subcommand: its name, entry point, and the flags it reads.
+const COMMANDS: &[(&str, Command, &[&str])] = &[
+    ("generate", generate::run, generate::FLAGS),
+    ("import", import::run, import::FLAGS),
+    ("embed", embed::run, embed::FLAGS),
+    ("stats", stats::run, stats::FLAGS),
+    ("train", train::run, train::FLAGS),
+    ("match", match_cmd::run, match_cmd::FLAGS),
+    ("serve", serve::run, serve::FLAGS),
+    ("registry", registry::run, registry::FLAGS),
+    ("evaluate", evaluate::run, evaluate::FLAGS),
+    ("cluster", cluster::run, cluster::FLAGS),
+    ("continual", continual::run, continual::FLAGS),
+    ("fuse", fuse::run, fuse::FLAGS),
+    ("analyze", analyze::run, analyze::FLAGS),
+];
+
 /// Dispatch a full argument vector (excluding the binary name).
-/// Returns the text to print on success.
+/// Returns the text to print on success. A flag the command does not
+/// read is a usage error, so a typo or a retired option never runs
+/// silently as if it were absent.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
     let Some(command) = argv.first() else {
         return Err(CliError::Usage("missing command".into()));
     };
     let flags = args::Flags::parse(&argv[1..])?;
-    match command.as_str() {
-        "generate" => commands::generate::run(&flags),
-        "import" => commands::import::run(&flags),
-        "embed" => commands::embed::run(&flags),
-        "stats" => commands::stats::run(&flags),
-        "train" => commands::train::run(&flags),
-        "match" => commands::match_cmd::run(&flags),
-        "serve" => commands::serve::run(&flags),
-        "registry" => commands::registry::run(&flags),
-        "evaluate" => commands::evaluate::run(&flags),
-        "cluster" => commands::cluster::run(&flags),
-        "continual" => commands::continual::run(&flags),
-        "fuse" => commands::fuse::run(&flags),
-        "analyze" => commands::analyze::run(&flags),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CliError::Usage(format!("unknown command {other:?}"))),
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        return Ok(USAGE.to_string());
     }
+    let Some((_, run, known)) = COMMANDS.iter().find(|(name, _, _)| name == command) else {
+        return Err(CliError::Usage(format!("unknown command {command:?}")));
+    };
+    flags.reject_unknown(command, known)?;
+    run(&flags)
 }
 
 #[cfg(test)]
@@ -237,6 +254,54 @@ mod tests {
     fn unknown_command_is_usage_error() {
         let err = run(&["frobnicate".to_string()]).unwrap_err();
         assert!(err.to_string().contains("frobnicate"));
+    }
+
+    fn argv(items: &[&str]) -> Vec<String> {
+        items.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_a_command_does_not_read_are_usage_errors() {
+        for (args, flag) in [
+            (&["match", "--quantized", "--lenient"][..], "--quantized"),
+            (&["serve", "--keep-alive", "4"][..], "--keep-alive"),
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            assert!(err.is_usage(), "{err}");
+            assert_eq!(err.exit_code(), 2);
+            assert!(err.to_string().contains(flag), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_flag_usage_shows_is_accepted() {
+        let listing = USAGE
+            .split("COMMANDS:\n")
+            .nth(1)
+            .expect("USAGE lists commands");
+        let listing = listing.split("\nEXIT CODES:").next().expect("listing ends");
+        let mut known: &[&str] = &[];
+        let mut checked = 0;
+        for line in listing.lines() {
+            // A command's first line is indented four spaces, its
+            // continuation lines further.
+            if !line.starts_with("     ") {
+                let name = line.split_whitespace().next().unwrap_or_default();
+                known = COMMANDS
+                    .iter()
+                    .find(|(n, _, _)| *n == name)
+                    .map_or(&[], |(_, _, flags)| *flags);
+            }
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            for flag in words.filter_map(|w| w.strip_prefix("--")) {
+                assert!(
+                    known.contains(&flag),
+                    "USAGE shows --{flag} on a command that rejects it"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 50, "found only {checked} flags in USAGE");
     }
 
     #[test]

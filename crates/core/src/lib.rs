@@ -81,6 +81,14 @@ pub enum CoreError {
     NoTrainingData,
     /// Not enough sources for the requested split.
     InvalidSplit(String),
+    /// A feature store built at one embedding dimension was handed to a
+    /// model trained at another.
+    DimMismatch {
+        /// Embedding dimension of the feature store.
+        store: usize,
+        /// Embedding dimension the model was trained on.
+        model: usize,
+    },
     /// A source offered for integration contributes zero properties.
     ///
     /// Distinct from [`CoreError::InvalidSplit`] so callers (the serve
@@ -124,6 +132,10 @@ impl std::fmt::Display for CoreError {
         match self {
             CoreError::NoTrainingData => write!(f, "no labeled training pairs"),
             CoreError::InvalidSplit(msg) => write!(f, "invalid split: {msg}"),
+            CoreError::DimMismatch { store, model } => write!(
+                f,
+                "feature store embedding dim {store} does not match the model's dim {model}"
+            ),
             CoreError::EmptySource(id) => {
                 write!(f, "source {id} has no properties")
             }

@@ -16,7 +16,6 @@ use leapme_nn::container2::{self, Opened, V2Container, V2Writer};
 use leapme_nn::layers::{Activation, Dense};
 use leapme_nn::matrix::Matrix;
 use leapme_nn::network::{FitControl, Mlp, TrainConfig};
-use leapme_nn::quant::{QuantWorkspace, QuantizedMlp, DEFAULT_TOLERANCE};
 use leapme_nn::workspace::ScoreWorkspace;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -61,20 +60,17 @@ pub struct LeapmeModel {
 /// Batch size used when scoring large candidate spaces.
 const SCORE_BATCH: usize = 4096;
 
-/// Outcome of an opt-in quantized scoring run
-/// ([`LeapmeModel::score_pairs_quantized`]): whether the int8 path was
-/// actually used and what the bounded-error oracle measured.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantizedScoreReport {
-    /// `true` when the quantized network scored the run; `false` when
-    /// the calibration error exceeded the tolerance and every pair was
-    /// scored by the f32 reference instead.
-    pub used_quantized: bool,
-    /// Largest `|f32 − int8|` class-1 probability difference on the
-    /// calibration block.
-    pub calibration_max_abs_error: f32,
-    /// Number of pairs in the calibration block.
-    pub calibration_pairs: usize,
+/// How [`LeapmeModel::score`] runs. The default scores on the calling
+/// thread without cancellation.
+#[derive(Clone, Copy, Default)]
+pub struct ScoreOptions<'a> {
+    /// Cooperative cancellation check, polled once per scoring block;
+    /// [`CoreError::Cancelled`] is returned when it fires.
+    pub cancel: CancelCheck<'a>,
+    /// Worker threads. `≤ 1` scores on the calling thread; more splits
+    /// the pairs into one contiguous chunk per worker. Scores are
+    /// bitwise identical for every thread count.
+    pub threads: usize,
 }
 
 /// Durability knobs for [`Leapme::fit_durable`]: where to checkpoint
@@ -493,224 +489,41 @@ impl LeapmeModel {
         self.scaler.dim()
     }
 
-    /// Similarity scores (positive-class probabilities) for a batch of
-    /// pairs, in input order. Streams fixed-size pair blocks through
-    /// reusable feature/activation buffers, so peak memory is bounded by
-    /// O([`SCORE_BATCH`] × dim) regardless of how many pairs are scored
-    /// and the steady-state block costs zero heap allocations.
-    pub fn score_pairs(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-    ) -> Result<Vec<f32>, CoreError> {
-        self.score_pairs_streaming(store, pairs, SCORE_BATCH)
-    }
-
-    /// [`Self::score_pairs`] with an explicit chunk size — the knob
-    /// trading peak memory (O(chunk × dim) for the feature block plus the
-    /// network activations) against per-chunk overhead. Scores are
-    /// bitwise identical for every chunk size: each pair's row is
-    /// featurized, scaled, and scored independently of its block.
-    pub fn score_pairs_streaming(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-        chunk_size: usize,
-    ) -> Result<Vec<f32>, CoreError> {
-        self.score_pairs_cancellable(store, pairs, chunk_size, None)
-    }
-
-    /// [`Self::score_pairs_streaming`] with cooperative cancellation,
-    /// polled once per block; returns [`CoreError::Cancelled`] when the
-    /// check fires. With `cancel: None` scores are bitwise identical to
-    /// the other scoring entry points.
-    pub fn score_pairs_cancellable(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-        chunk_size: usize,
-        cancel: CancelCheck<'_>,
-    ) -> Result<Vec<f32>, CoreError> {
-        self.check_store(store)?;
-        store.ensure_pair_table_for(&self.features, pairs.len());
-        let chunk = chunk_size.max(1);
-        let mask = self.features.mask(store.dim());
-        let cols = mask.len();
-        let mut scores = Vec::with_capacity(pairs.len());
-        let mut x = Matrix::zeros(0, 0);
-        let mut ws = ScoreWorkspace::new();
-        for block in pairs.chunks(chunk) {
-            x.resize_zeroed(block.len(), cols);
-            store.fill_pair_block_cancellable(block, &mask, x.data_mut(), cancel)?;
-            self.scaler.transform_inplace(&mut x);
-            self.net.predict_proba_into(&x, &mut ws, &mut scores);
-        }
-        Ok(scores)
-    }
-
-    /// [`Self::score_pairs`] through opt-in int8 quantized inference,
-    /// gated by a bounded-error oracle: the first feature block is
-    /// scored by both the f32 reference and the quantized network, and
-    /// if their class-1 probabilities diverge by more than
-    /// [`leapme_nn::quant::DEFAULT_TOLERANCE`] anywhere in that
-    /// calibration block the entire run silently falls back to the f32
-    /// path. The returned [`QuantizedScoreReport`] says which path ran
-    /// and the calibration error, so callers (CLI `--quantized`, bench)
-    /// can surface the decision instead of guessing.
-    pub fn score_pairs_quantized(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-    ) -> Result<(Vec<f32>, QuantizedScoreReport), CoreError> {
-        self.score_pairs_quantized_cancellable(store, pairs, None)
-    }
-
-    /// [`Self::score_pairs_quantized`] with cooperative cancellation,
-    /// polled once per scoring block.
-    pub fn score_pairs_quantized_cancellable(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-        cancel: CancelCheck<'_>,
-    ) -> Result<(Vec<f32>, QuantizedScoreReport), CoreError> {
-        self.check_store(store)?;
-        store.ensure_pair_table_for(&self.features, pairs.len());
-        if pairs.is_empty() {
-            return Ok((
-                Vec::new(),
-                QuantizedScoreReport {
-                    used_quantized: true,
-                    calibration_max_abs_error: 0.0,
-                    calibration_pairs: 0,
-                },
-            ));
-        }
-        let qnet = QuantizedMlp::from_mlp(&self.net);
-        let mask = self.features.mask(store.dim());
-        let cols = mask.len();
-
-        // Calibration: the first block runs on both paths.
-        let calib = &pairs[..pairs.len().min(SCORE_BATCH)];
-        let mut x = Matrix::zeros(0, 0);
-        x.resize_zeroed(calib.len(), cols);
-        store.fill_pair_block_cancellable(calib, &mask, x.data_mut(), cancel)?;
-        self.scaler.transform_inplace(&mut x);
-        let mut ws = ScoreWorkspace::new();
-        let mut reference = Vec::with_capacity(calib.len());
-        self.net.predict_proba_into(&x, &mut ws, &mut reference);
-        let mut qws = QuantWorkspace::new();
-        let mut scores = Vec::with_capacity(pairs.len());
-        qnet.predict_proba_into(&x, &mut qws, &mut scores);
-        let err = reference
-            .iter()
-            .zip(&scores)
-            .map(|(&r, &q)| (r - q).abs())
-            .fold(0.0f32, f32::max);
-        let report = QuantizedScoreReport {
-            used_quantized: err <= DEFAULT_TOLERANCE,
-            calibration_max_abs_error: err,
-            calibration_pairs: calib.len(),
-        };
-        if !report.used_quantized {
-            // Oracle failed: rerun everything on the reference path.
-            return Ok((
-                self.score_pairs_cancellable(store, pairs, SCORE_BATCH, cancel)?,
-                report,
-            ));
-        }
-        for block in pairs[calib.len()..].chunks(SCORE_BATCH) {
-            x.resize_zeroed(block.len(), cols);
-            store.fill_pair_block_cancellable(block, &mask, x.data_mut(), cancel)?;
-            self.scaler.transform_inplace(&mut x);
-            qnet.predict_proba_into(&x, &mut qws, &mut scores);
-        }
-        Ok((scores, report))
-    }
-
-    /// The original materialize-per-chunk scorer, kept as the equivalence
-    /// oracle the streaming-path tests check against.
-    pub fn score_pairs_materialized(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-    ) -> Result<Vec<f32>, CoreError> {
-        self.check_store(store)?;
-        let mut scores = Vec::with_capacity(pairs.len());
-        for chunk in pairs.chunks(SCORE_BATCH) {
-            let keyed: Vec<_> = chunk
-                .iter()
-                .map(|PropertyPair(a, b)| (a.clone(), b.clone()))
-                .collect();
-            let (n, cols, data) = store.pair_matrix_flat(&keyed, &self.features)?.into_parts();
-            let mut x = Matrix::from_vec(n, cols, data);
-            self.scaler.transform_inplace(&mut x);
-            scores.extend(self.net.predict_proba(&x));
-        }
-        Ok(scores)
-    }
-
-    /// Reject stores whose feature space differs from the model's.
-    fn check_store(&self, store: &PropertyFeatureStore) -> Result<(), CoreError> {
-        if store.dim() != self.dim {
-            return Err(CoreError::InvalidSplit(format!(
-                "feature store dim {} != model dim {}",
-                store.dim(),
-                self.dim
-            )));
-        }
-        Ok(())
-    }
-
-    /// Parallel variant of [`Self::score_pairs`]: splits the candidate
-    /// list into chunks scored on `threads` worker threads (crossbeam
-    /// scoped threads; `0` = one per available core). Results are
-    /// bit-identical to the serial path and returned in input order —
-    /// inference is deterministic, only the work scheduling differs.
+    /// Similarity scores (positive-class probabilities) for `pairs`, in
+    /// input order. Streams [`SCORE_BATCH`]-pair blocks through reusable
+    /// feature/activation buffers, so peak memory per thread is
+    /// O(block × dim) however many pairs are scored, and the
+    /// steady-state block costs zero heap allocations.
     ///
-    /// A panicking worker loses only its own chunk: the chunk is requeued
-    /// once on the calling thread, and a second panic surfaces as
+    /// With `threads > 1` and at least two blocks of pairs, the pairs
+    /// are split into one contiguous chunk per worker (crossbeam scoped
+    /// threads) and the results concatenated in input order. A panicking
+    /// worker loses only its own chunk: the chunk is requeued once on the
+    /// calling thread, and a second panic surfaces as
     /// [`CoreError::WorkerPanic`] instead of aborting the process.
-    pub fn score_pairs_parallel(
+    ///
+    /// Fails with [`CoreError::DimMismatch`] when `store` was built at a
+    /// different embedding dimension than the model was trained on.
+    pub fn score(
         &self,
         store: &PropertyFeatureStore,
         pairs: &[PropertyPair],
-        threads: usize,
+        opts: &ScoreOptions<'_>,
     ) -> Result<Vec<f32>, CoreError> {
-        self.score_pairs_parallel_cancellable(store, pairs, threads, None)
-    }
-
-    /// [`Self::score_pairs_parallel`] with cooperative cancellation:
-    /// every worker polls the shared check once per [`SCORE_BATCH`]
-    /// block, so a cancel request stops all chunks within one block of
-    /// work each. With `cancel: None` results are bitwise identical to
-    /// the serial path.
-    pub fn score_pairs_parallel_cancellable(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-        threads: usize,
-        cancel: CancelCheck<'_>,
-    ) -> Result<Vec<f32>, CoreError> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        if threads <= 1 || pairs.len() < 2 * SCORE_BATCH {
-            return self.score_pairs_cancellable(store, pairs, SCORE_BATCH, cancel);
-        }
-        // Build the shared distance table once on the calling thread at
-        // the full pair volume — per-chunk calls inside the workers
-        // would evaluate the size gate against a fraction of the run.
+        self.check_store(store)?;
+        // Build the shared distance table once at the full pair volume —
+        // per-chunk calls inside the workers would evaluate the size gate
+        // against a fraction of the run.
         store.ensure_pair_table_for(&self.features, pairs.len());
-        let chunk_len = pairs.len().div_ceil(threads);
+        if opts.threads <= 1 || pairs.len() < 2 * SCORE_BATCH {
+            return self.score_blocks(store, pairs, opts.cancel);
+        }
+        let chunk_len = pairs.len().div_ceil(opts.threads);
         let chunks: Vec<&[PropertyPair]> = pairs.chunks(chunk_len).collect();
         let score_chunk = |chunk: &[PropertyPair]| {
             #[cfg(feature = "faults")]
             leapme_faults::maybe_panic(leapme_faults::sites::SCORE_WORKER);
-            self.score_pairs_cancellable(store, chunk, SCORE_BATCH, cancel)
+            self.score_blocks(store, chunk, opts.cancel)
         };
         let mut results: Vec<Option<Result<Vec<f32>, CoreError>>> = Vec::new();
         let mut failed: Vec<usize> = Vec::new();
@@ -749,6 +562,27 @@ impl LeapmeModel {
         Ok(out)
     }
 
+    /// [`Self::score`] with the default options: the calling thread, no
+    /// cancellation.
+    pub fn score_pairs(
+        &self,
+        store: &PropertyFeatureStore,
+        pairs: &[PropertyPair],
+    ) -> Result<Vec<f32>, CoreError> {
+        self.score(store, pairs, &ScoreOptions::default())
+    }
+
+    /// Score pairs and assemble the similarity graph (Algorithm 1 lines
+    /// 10–11).
+    pub fn predict_graph(
+        &self,
+        store: &PropertyFeatureStore,
+        pairs: &[PropertyPair],
+    ) -> Result<SimilarityGraph, CoreError> {
+        let scores = self.score_pairs(store, pairs)?;
+        Ok(pairs.iter().cloned().zip(scores).collect())
+    }
+
     /// Score pre-extracted feature rows directly (each row must already
     /// be in this model's feature space — same configuration and
     /// dimension it was trained with). Used by analyses that perturb the
@@ -773,53 +607,37 @@ impl LeapmeModel {
         scores
     }
 
-    /// Score pairs and assemble the similarity graph (Algorithm 1 lines
-    /// 10–11).
-    pub fn predict_graph(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-    ) -> Result<SimilarityGraph, CoreError> {
-        self.predict_graph_cancellable(store, pairs, None)
+    /// Reject stores whose feature space differs from the model's.
+    fn check_store(&self, store: &PropertyFeatureStore) -> Result<(), CoreError> {
+        if store.dim() != self.dim {
+            return Err(CoreError::DimMismatch {
+                store: store.dim(),
+                model: self.dim,
+            });
+        }
+        Ok(())
     }
 
-    /// [`Self::predict_graph`] with cooperative cancellation (polled
-    /// once per [`SCORE_BATCH`] scoring block).
-    pub fn predict_graph_cancellable(
+    /// The calling-thread scorer under [`Self::score`]: one feature
+    /// matrix and one score workspace, reused for every block.
+    fn score_blocks(
         &self,
         store: &PropertyFeatureStore,
         pairs: &[PropertyPair],
         cancel: CancelCheck<'_>,
-    ) -> Result<SimilarityGraph, CoreError> {
-        let scores = self.score_pairs_cancellable(store, pairs, SCORE_BATCH, cancel)?;
-        Ok(pairs.iter().cloned().zip(scores).collect())
-    }
-
-    /// [`Self::predict_graph`] through the opt-in quantized scorer (same
-    /// bounded-error gate and fallback as
-    /// [`Self::score_pairs_quantized`]); returns the graph plus the
-    /// quantization report.
-    pub fn predict_graph_quantized_cancellable(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-        cancel: CancelCheck<'_>,
-    ) -> Result<(SimilarityGraph, QuantizedScoreReport), CoreError> {
-        let (scores, report) = self.score_pairs_quantized_cancellable(store, pairs, cancel)?;
-        Ok((pairs.iter().cloned().zip(scores).collect(), report))
-    }
-
-    /// Binary match decisions at the model threshold, in input order.
-    pub fn predict_matches(
-        &self,
-        store: &PropertyFeatureStore,
-        pairs: &[PropertyPair],
-    ) -> Result<Vec<bool>, CoreError> {
-        Ok(self
-            .score_pairs(store, pairs)?
-            .into_iter()
-            .map(|s| s >= self.threshold)
-            .collect())
+    ) -> Result<Vec<f32>, CoreError> {
+        let mask = self.features.mask(store.dim());
+        let cols = mask.len();
+        let mut scores = Vec::with_capacity(pairs.len());
+        let mut x = Matrix::zeros(0, 0);
+        let mut ws = ScoreWorkspace::new();
+        for block in pairs.chunks(SCORE_BATCH) {
+            x.resize_zeroed(block.len(), cols);
+            store.fill_pair_block_cancellable(block, &mask, x.data_mut(), cancel)?;
+            self.scaler.transform_inplace(&mut x);
+            self.net.predict_proba_into(&x, &mut ws, &mut scores);
+        }
+        Ok(scores)
     }
 }
 
@@ -916,55 +734,34 @@ mod tests {
         for (p, s) in test.iter().zip(&scores) {
             assert_eq!(graph.score(p), Some(*s));
         }
-        // predict_matches consistent with threshold.
-        let decisions = model.predict_matches(&store, &test).unwrap();
-        for (d, s) in decisions.iter().zip(&scores) {
-            assert_eq!(*d, *s >= model.threshold());
+    }
+
+    /// Materialize-per-chunk scorer: the equivalence oracle for the
+    /// streaming path.
+    fn score_pairs_materialized(
+        model: &LeapmeModel,
+        store: &PropertyFeatureStore,
+        pairs: &[PropertyPair],
+    ) -> Vec<f32> {
+        let mut scores = Vec::with_capacity(pairs.len());
+        for chunk in pairs.chunks(SCORE_BATCH) {
+            let keyed: Vec<_> = chunk
+                .iter()
+                .map(|PropertyPair(a, b)| (a.clone(), b.clone()))
+                .collect();
+            let (n, cols, data) = store
+                .pair_matrix_flat(&keyed, &model.features)
+                .unwrap()
+                .into_parts();
+            let mut x = Matrix::from_vec(n, cols, data);
+            model.scaler.transform_inplace(&mut x);
+            scores.extend(model.net.predict_proba(&x));
         }
+        scores
     }
 
     #[test]
-    fn quantized_scoring_tracks_f32_within_tolerance() {
-        let ds = generate(Domain::Tvs, 31);
-        let store = PropertyFeatureStore::build(&ds, &embeddings(Domain::Tvs));
-        let mut rng = StdRng::seed_from_u64(12);
-        let split = sampling::split_sources(ds.sources().len(), 0.8, &mut rng).unwrap();
-        let train = sampling::training_pairs(&ds, &split.train, 2, &mut rng);
-        let cfg = LeapmeConfig {
-            train: quick_train_cfg(),
-            hidden: vec![16],
-            ..LeapmeConfig::default()
-        };
-        let model = Leapme::fit(&store, &train, &cfg).unwrap();
-        let test = sampling::test_pairs(&ds, &split.train);
-        let reference = model.score_pairs(&store, &test).unwrap();
-        let (quantized, report) = model.score_pairs_quantized(&store, &test).unwrap();
-        assert_eq!(quantized.len(), reference.len());
-        assert!(report.calibration_pairs > 0);
-        if report.used_quantized {
-            // The oracle only sees the calibration block; the whole run
-            // must still stay within a loose multiple of the tolerance.
-            for (q, r) in quantized.iter().zip(&reference) {
-                assert!(
-                    (q - r).abs() <= 3.0 * DEFAULT_TOLERANCE,
-                    "quantized {q} vs f32 {r}"
-                );
-            }
-        } else {
-            // Fallback path must be the f32 scores exactly.
-            assert_eq!(quantized, reference);
-            assert!(report.calibration_max_abs_error > DEFAULT_TOLERANCE);
-        }
-        // Graph variant agrees with the score variant's decision.
-        let (graph, greport) = model
-            .predict_graph_quantized_cancellable(&store, &test, None)
-            .unwrap();
-        assert_eq!(greport.used_quantized, report.used_quantized);
-        assert_eq!(graph.len(), test.len());
-    }
-
-    #[test]
-    fn streaming_matches_materialized_for_any_chunk_size() {
+    fn streaming_matches_materialized_at_every_thread_count() {
         let ds = generate(Domain::Tvs, 27);
         let store = PropertyFeatureStore::build(&ds, &embeddings(Domain::Tvs));
         let mut rng = StdRng::seed_from_u64(10);
@@ -976,38 +773,56 @@ mod tests {
             ..LeapmeConfig::default()
         };
         let model = Leapme::fit(&store, &train, &cfg).unwrap();
-        let test = sampling::test_pairs(&ds, &split.train);
-        let reference = model.score_pairs_materialized(&store, &test).unwrap();
+        // Enough pairs for several blocks and the multi-worker split,
+        // ending on a partial block.
+        let test: Vec<PropertyPair> = sampling::test_pairs(&ds, &split.train)
+            .into_iter()
+            .cycle()
+            .take(2 * SCORE_BATCH + 17)
+            .collect();
+        let reference = score_pairs_materialized(&model, &store, &test);
         assert_eq!(model.score_pairs(&store, &test).unwrap(), reference);
-        for chunk in [1, 3, 17, 256, usize::MAX] {
-            let streamed = model.score_pairs_streaming(&store, &test, chunk).unwrap();
-            assert_eq!(streamed, reference, "chunk={chunk}");
+        for threads in [0, 1, 2, 4] {
+            let opts = ScoreOptions {
+                cancel: None,
+                threads,
+            };
+            assert_eq!(
+                model.score(&store, &test, &opts).unwrap(),
+                reference,
+                "threads={threads}"
+            );
         }
-        // Chunk size 0 is clamped, not a panic.
-        assert_eq!(
-            model.score_pairs_streaming(&store, &test, 0).unwrap(),
-            reference
-        );
+        let always = || true;
+        for threads in [1, 4] {
+            let opts = ScoreOptions {
+                cancel: Some(&always),
+                threads,
+            };
+            assert!(
+                matches!(model.score(&store, &test, &opts), Err(CoreError::Cancelled)),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
-    fn parallel_scoring_matches_serial() {
-        let ds = generate(Domain::Tvs, 26);
-        let store = PropertyFeatureStore::build(&ds, &embeddings(Domain::Tvs));
-        let mut rng = StdRng::seed_from_u64(9);
-        let split = sampling::split_sources(ds.sources().len(), 0.8, &mut rng).unwrap();
-        let train = sampling::training_pairs(&ds, &split.train, 2, &mut rng);
-        let cfg = LeapmeConfig {
-            train: quick_train_cfg(),
-            hidden: vec![16],
-            ..LeapmeConfig::default()
-        };
-        let model = Leapme::fit(&store, &train, &cfg).unwrap();
-        let test = sampling::test_pairs(&ds, &split.train);
-        let serial = model.score_pairs(&store, &test).unwrap();
-        for threads in [0, 1, 2, 4] {
-            let parallel = model.score_pairs_parallel(&store, &test, threads).unwrap();
-            assert_eq!(serial, parallel, "threads={threads}");
+    fn scoring_a_store_of_another_dim_is_a_typed_mismatch() {
+        let (model, _store, test) = fitted_model_and_test(14);
+        let other =
+            PropertyFeatureStore::build(&generate(Domain::Tvs, 28), &EmbeddingStore::new(8));
+        let errors = [
+            model
+                .score(&other, &test, &ScoreOptions::default())
+                .unwrap_err(),
+            model.score_pairs(&other, &test).unwrap_err(),
+            model.predict_graph(&other, &test).unwrap_err(),
+        ];
+        for err in errors {
+            match err {
+                CoreError::DimMismatch { store, model } => assert_eq!((store, model), (8, 24)),
+                other => panic!("expected DimMismatch, got {other}"),
+            }
         }
     }
 

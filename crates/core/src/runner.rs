@@ -8,8 +8,9 @@
 
 use crate::journal::RunJournal;
 use crate::metrics::{Metrics, MetricsSummary};
-use crate::pipeline::{DurableFitOptions, Leapme, LeapmeConfig};
+use crate::pipeline::{DurableFitOptions, Leapme, LeapmeConfig, ScoreOptions};
 use crate::sampling;
+use crate::simgraph::SimilarityGraph;
 use crate::CoreError;
 use leapme_data::model::Dataset;
 use leapme_features::{CancelCheck, PropertyFeatureStore};
@@ -153,7 +154,8 @@ pub fn run_once_cancellable(
             sampling::test_ground_truth(dataset, &split.train),
         ),
     };
-    let graph = model.predict_graph_cancellable(store, &test, cancel)?;
+    let scores = model.score(store, &test, &ScoreOptions { cancel, threads: 1 })?;
+    let graph: SimilarityGraph = test.iter().cloned().zip(scores).collect();
     let metrics = Metrics::from_sets(&graph.matches(leapme_cfg.threshold), &gt);
 
     Ok(RunOutcome {

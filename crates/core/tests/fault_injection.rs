@@ -5,7 +5,7 @@
 //! suites running concurrently in another process's thread pool.
 #![cfg(feature = "faults")]
 
-use leapme_core::pipeline::{Leapme, LeapmeConfig, LeapmeModel};
+use leapme_core::pipeline::{Leapme, LeapmeConfig, LeapmeModel, ScoreOptions};
 use leapme_core::runner::{run_repeated, RunnerConfig};
 use leapme_core::sampling;
 use leapme_core::CoreError;
@@ -29,8 +29,13 @@ fn quick_cfg() -> LeapmeConfig {
     }
 }
 
+const FOUR_THREADS: ScoreOptions<'static> = ScoreOptions {
+    cancel: None,
+    threads: 4,
+};
+
 /// A trained model plus enough candidate pairs (≥ 2 × SCORE_BATCH) to
-/// push `score_pairs_parallel` off its serial fallback.
+/// push multi-threaded `score` off its calling-thread fallback.
 fn model_and_pairs() -> (Dataset, PropertyFeatureStore, LeapmeModel, Vec<PropertyPair>) {
     let ds = generate(Domain::Tvs, 41);
     let store = PropertyFeatureStore::build(&ds, &EmbeddingStore::new(8));
@@ -51,7 +56,7 @@ fn transient_score_worker_panic_is_requeued() {
     // thread (the #2 cap is exhausted by then) and scores stay bitwise
     // identical to the serial path.
     let scores = leapme_faults::with_plan("seed=3;core.score.worker:panic@1.0#2", || {
-        model.score_pairs_parallel(&store, &pairs, 4).unwrap()
+        model.score(&store, &pairs, &FOUR_THREADS).unwrap()
     });
     assert_eq!(scores, serial);
 }
@@ -62,7 +67,7 @@ fn persistent_score_worker_panic_is_a_structured_error() {
     // Every attempt panics, including the requeue: the shard fails with
     // a structured error instead of aborting the process.
     let err = leapme_faults::with_plan("seed=3;core.score.worker:panic@1.0", || {
-        model.score_pairs_parallel(&store, &pairs, 4).unwrap_err()
+        model.score(&store, &pairs, &FOUR_THREADS).unwrap_err()
     });
     match err {
         CoreError::WorkerPanic { site, payload } => {

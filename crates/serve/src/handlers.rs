@@ -2,16 +2,16 @@
 //! deadline-aware scoring with partial results, and the
 //! `integrate-source` mutation.
 //!
-//! Every scoring endpoint goes through the same streaming score path as
-//! the batch CLI ([`LeapmeModel::score_pairs_cancellable`]), chunked so
-//! a deadline expiry mid-score keeps the chunks already finished: the
-//! PR3 fail-soft contract — serve what you have, say it's degraded.
+//! Every scoring endpoint goes through the same streaming scorer as the
+//! batch CLI ([`LeapmeModel::score`]), chunked so a deadline expiry
+//! mid-score keeps the chunks already finished: the fail-soft contract
+//! of DESIGN.md §8 — serve what you have, say it's degraded.
 
 use crate::http::{Request, Response};
 use crate::state::{Engine, FlightRole, ServeState, SingleEngine};
 use leapme_core::cancel::CancelToken;
 use leapme_core::incremental::integrate_source;
-use leapme_core::pipeline::LeapmeModel;
+use leapme_core::pipeline::{LeapmeModel, ScoreOptions};
 use leapme_core::registry::{Domain, ModelRegistry, RegistryError};
 use leapme_core::sampling;
 use leapme_core::simgraph::SimilarityGraph;
@@ -343,6 +343,10 @@ fn score_chunked(
     pairs: &[PropertyPair],
     check: &(impl Fn() -> bool + Sync),
 ) -> Result<(Vec<f32>, bool), Response> {
+    let opts = ScoreOptions {
+        cancel: Some(check),
+        threads: 1,
+    };
     let mut scores = Vec::with_capacity(pairs.len());
     let mut degraded = false;
     for chunk in pairs.chunks(SCORE_CHUNK) {
@@ -350,7 +354,7 @@ fn score_chunked(
             degraded = true;
             break;
         }
-        match model.score_pairs_cancellable(store, chunk, SCORE_CHUNK, Some(check)) {
+        match model.score(store, chunk, &opts) {
             Ok(s) => scores.extend(s),
             Err(CoreError::Cancelled) => {
                 degraded = true;

@@ -17,6 +17,11 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> cargo test --manifest-path benchmark/Cargo.toml (its own workspace)"
+# A bare `cargo test` never builds the benchmark, which calls the
+# library API directly.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
+
 echo "==> cargo test -p leapme-nn --features alloc-count (zero-allocation regression)"
 cargo test -p leapme-nn --features alloc-count -q
 
@@ -31,19 +36,17 @@ else
     echo "warning: clippy not installed; skipping lint step" >&2
 fi
 
-echo "==> kernel-equivalence suites: bit-parallel/banded/SIMD/int8 vs reference"
+echo "==> kernel-equivalence suites: bit-parallel/banded/SIMD vs reference"
 # The PR6 fast paths (Myers bit-vector Levenshtein, banded OSA/Damerau,
-# SSE2 embedding lanes, int8 inference) each keep their reference
-# implementation in-tree with equivalence tests; run them at both the
-# serial and a multi-worker thread count so the dispatch seams are
-# covered either way.
+# SSE2 embedding lanes) each keep their reference implementation
+# in-tree with equivalence tests; run them at both the serial and a
+# multi-worker thread count so the dispatch seams are covered either
+# way.
 for t in 1 4; do
     echo "    LEAPME_THREADS=$t"
     LEAPME_THREADS=$t cargo test -q -p leapme-textsim
     LEAPME_THREADS=$t cargo test -q -p leapme-embedding kernels
-    LEAPME_THREADS=$t cargo test -q -p leapme-nn quant
     LEAPME_THREADS=$t cargo test -q -p leapme-features pair_table
-    LEAPME_THREADS=$t cargo test -q -p leapme-core quantized
 done
 
 echo "==> index suites: HNSW/LSH determinism, recall vs oracle, cancellation"
@@ -274,24 +277,6 @@ for key in ("epochs", "fit_s", "fit_checkpointed_s", "overhead_ms_per_epoch"):
 if ckpt["epochs"] <= 0 or ckpt["fit_s"] <= 0 or ckpt["fit_checkpointed_s"] <= 0:
     sys.exit("BENCH_PR7.json: checkpoint timings not positive")
 
-quant = report.get("quantized")
-if not isinstance(quant, dict):
-    sys.exit("BENCH_PR7.json: quantized section missing")
-for key in ("score_f32_s", "score_int8_s", "calibration_max_abs_error",
-            "full_run_max_abs_error"):
-    if not finite(quant.get(key)):
-        sys.exit(f"BENCH_PR7.json: quantized.{key} missing or not finite")
-if not isinstance(quant.get("used_quantized"), bool):
-    sys.exit("BENCH_PR7.json: quantized.used_quantized missing")
-# The tolerance contract: when the gate kept the int8 path, the whole
-# run must stay within 2x the 0.05 calibration tolerance — the
-# calibration block bounds the error statistically, it does not
-# enumerate every pair.
-if quant["used_quantized"] and quant["full_run_max_abs_error"] > 0.10:
-    sys.exit("BENCH_PR7.json: quantized run exceeded the documented tolerance")
-if not quant["used_quantized"] and quant["full_run_max_abs_error"] != 0.0:
-    sys.exit("BENCH_PR7.json: fallback run must be exactly the f32 scores")
-
 # Sublinear candidate generation (DESIGN.md §12): the four retrieval
 # metrics must be recorded, the combined candidate set must stay at or
 # under 5% of the full n² space, and the ANN index must recover at
@@ -341,7 +326,6 @@ print("BENCH_PR7.json OK:",
       f"{100 * ret['candidates_scored_ratio']:.3f}% of n² scored,",
       f"oracle completeness {ret['pair_completeness']:.3f},",
       f"gt completeness {ret['gt_pair_completeness']:.3f}",
-      f"| int8 max|Δp| {quant['full_run_max_abs_error']:.4f}",
       f"| warm cache ×{wc['featurize_speedup']:.1f}")
 EOF
 
@@ -475,38 +459,15 @@ if ! cmp -s "$DRILL_DIR/g1.json" "$DRILL_DIR/g3.json"; then
 fi
 echo "    corrupted cache healed with a clean rebuild and identical scores"
 
-echo "==> quantized drill: --quantized reports its path and stays near the f32 scores"
-LEAPME_THREADS=1 "$LEAPME" match \
+echo "==> cross-thread drill: LEAPME_THREADS=4 without the cache, same bytes"
+LEAPME_THREADS=4 "$LEAPME" match \
     --dataset "$DRILL_DIR/ds.json" --embeddings "$DRILL_DIR/emb.txt" \
-    --seed 5 --quantized --out "$DRILL_DIR/gq.json" \
-    > "$DRILL_DIR/mq.out"
-if ! grep -q "quantized scoring:" "$DRILL_DIR/mq.out"; then
-    echo "quantized drill: --quantized run did not report which path scored" >&2
+    --seed 5 --out "$DRILL_DIR/g4.json" >/dev/null
+if ! cmp -s "$DRILL_DIR/g1.json" "$DRILL_DIR/g4.json"; then
+    echo "cross-thread drill: LEAPME_THREADS=4 scores differ from the serial run" >&2
     exit 1
 fi
-# Same seed without the flag: the exact f32 reference graph.
-LEAPME_THREADS=1 "$LEAPME" match \
-    --dataset "$DRILL_DIR/ds.json" --embeddings "$DRILL_DIR/emb.txt" \
-    --seed 5 --out "$DRILL_DIR/gf.json" >/dev/null
-python3 - "$DRILL_DIR/gq.json" "$DRILL_DIR/gf.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    quant = json.load(f)
-with open(sys.argv[2]) as f:
-    ref = json.load(f)
-def scores(graph):
-    # The similarity graph serializes its edge map as a list of
-    # [pair, score] entries in BTreeMap (pair) order, shared by both runs.
-    return [e[1] for e in graph["edges"]]
-q, r = scores(quant), scores(ref)
-if len(q) != len(r):
-    sys.exit(f"quantized drill: {len(q)} scored pairs vs {len(r)} in the f32 run")
-worst = max((abs(a - b) for a, b in zip(q, r)), default=0.0)
-# 2x the 0.05 calibration tolerance, same contract the bench asserts.
-if worst > 0.10:
-    sys.exit(f"quantized drill: max |Δp| {worst:.4f} exceeds the tolerance")
-print(f"    quantized scores track f32 within |Δp| {worst:.4f} over {len(q)} pairs")
-EOF
+echo "    LEAPME_THREADS=4 without the cache wrote the serial graph byte for byte"
 
 echo "==> stress smoke: 100k-property match via sublinear ANN retrieval"
 # End-to-end sublinear candidate generation (DESIGN.md §12): the

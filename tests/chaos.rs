@@ -6,6 +6,7 @@
 //! plan installation, so these tests can share one process.
 #![cfg(feature = "faults")]
 
+use leapme::core::pipeline::ScoreOptions;
 use leapme::data::io::{read_dataset, read_dataset_lenient};
 use leapme::faults::with_plan;
 use leapme::features::vectorizer::FeatureError;
@@ -244,7 +245,14 @@ fn full_fault_matrix_never_aborts() {
             .map_err(|e| format!("fit: {e}"))?;
         let all: Vec<SourceId> = (0..3).map(SourceId).collect();
         let scores = model
-            .score_pairs_parallel(&store, &dataset.cross_source_pairs(&all), 4)
+            .score(
+                &store,
+                &dataset.cross_source_pairs(&all),
+                &ScoreOptions {
+                    cancel: None,
+                    threads: 4,
+                },
+            )
             .map_err(|e| format!("score: {e}"))?;
         for s in &scores {
             assert!(s.is_finite(), "non-finite score {s}");

@@ -28,9 +28,7 @@ fn reference_bytes() -> Vec<u8> {
     w.f32s("w0", &(0..300).map(|i| i as f32 * 0.25).collect::<Vec<_>>());
     w.f32s("b0", &[1.0, -2.0, 3.5]);
     w.bytes("empty", &[]);
-    let path = tmp("reference.l2c");
-    w.write(&path).unwrap();
-    std::fs::read(&path).unwrap()
+    w.finish().unwrap()
 }
 
 /// Read every section of `c`, comparing against the pristine copy.

@@ -67,7 +67,7 @@ fn inspect(dir: &str) -> Result<String, CliError> {
             domain.bytes,
             domain.open_ms,
             domain.store.len(),
-            domain.dataset.sources().len(),
+            domain.sources,
         );
     }
     let stats = to_json_pretty(&registry.stats(), "registry stats")?;

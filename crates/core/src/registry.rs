@@ -22,6 +22,16 @@
 //! it, which keys the serve layer's single-flight coalescer exactly
 //! like the PR8 `integrate-source` swap — in-flight results computed
 //! against the old generation are never shared across a swap.
+//! Generations are assigned when a load is published, under the
+//! registry lock, so concurrent reloads never share one.
+//!
+//! A resident domain does not hold its parsed dataset: scoring needs
+//! only the source count, and the feature cache is checked against the
+//! dataset's fingerprint. Each domain keeps a digest of its last parse
+//! across evictions, so a fault-in over an unchanged
+//! `dataset.json` costs one streamed CRC-64 instead of a parse.
+//! [`Domain::dataset`] parses on demand for the callers that need the
+//! whole dataset (`/match`).
 
 use crate::feature_cache;
 use crate::pipeline::{LeapmeModel, ModelOpenPath};
@@ -29,8 +39,10 @@ use crate::CoreError;
 use leapme_data::model::Dataset;
 use leapme_embedding::store::EmbeddingStore;
 use leapme_features::PropertyFeatureStore;
+use leapme_nn::checkpoint::{crc64, crc64_update};
 use serde::Serialize;
 use std::collections::HashMap;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -90,19 +102,23 @@ impl From<CoreError> for RegistryError {
 }
 
 /// A fully faulted-in domain: everything the serve layer needs to score
-/// or match against it. Shared behind `Arc` so eviction (dropping the
-/// registry's reference) never invalidates an in-flight request.
+/// against it. Shared behind `Arc` so eviction (dropping the registry's
+/// reference) never invalidates an in-flight request.
 pub struct Domain {
     /// Domain name (the directory name under the registry root).
     pub name: String,
     /// The domain's trained model.
     pub model: LeapmeModel,
-    /// The domain's dataset.
-    pub dataset: Dataset,
-    /// Feature store over `dataset` (zero-copy slab when the cache file
-    /// is a v2 container).
+    /// Number of sources in the domain's dataset.
+    pub sources: usize,
+    /// Fingerprint of the dataset the feature store was verified
+    /// against (or built from) at fault-in.
+    pub dataset_fingerprint: u64,
+    /// Feature store over the domain's dataset (zero-copy slab when the
+    /// cache file is a v2 container).
     pub store: PropertyFeatureStore,
-    /// Generation at fault-in time; bumped by [`ModelRegistry::reload`].
+    /// Generation assigned when this load was published; bumped by
+    /// [`ModelRegistry::reload`].
     pub generation: u64,
     /// How the model container was opened (`mmap` / `read` /
     /// `legacy-v1`).
@@ -115,12 +131,57 @@ pub struct Domain {
     pub bytes: u64,
     /// Wall-clock milliseconds the fault-in took.
     pub open_ms: u64,
+    /// The domain's `dataset.json`, read again by [`Domain::dataset`].
+    dataset_path: PathBuf,
+}
+
+impl Domain {
+    /// Parse the domain's dataset from disk. Fails with
+    /// [`RegistryError::InvalidDomain`] when the file no longer has the
+    /// fingerprint the feature store was verified against: the store
+    /// then describes other data, and nothing may be matched over it.
+    pub fn dataset(&self) -> Result<Dataset, RegistryError> {
+        let (dataset, digest) = parse_dataset(&self.name, &self.dataset_path)?;
+        if digest.fingerprint != self.dataset_fingerprint {
+            return Err(fingerprint_mismatch(
+                &self.name,
+                self.dataset_fingerprint,
+                digest.fingerprint,
+            ));
+        }
+        Ok(dataset)
+    }
+}
+
+/// What a fault-in takes from `dataset.json`, remembered per domain
+/// across evictions: when the file's CRC-64 still matches, the parse
+/// is skipped and the fingerprint and source count are reused.
+#[derive(Debug, Clone, Copy)]
+struct DatasetDigest {
+    /// CRC-64 of the file bytes that were parsed.
+    crc: u64,
+    /// [`feature_cache::dataset_fingerprint`] of the parsed dataset.
+    fingerprint: u64,
+    /// Number of sources in the parsed dataset.
+    sources: usize,
+}
+
+/// How [`ModelRegistry::publish`] installs a freshly loaded domain.
+#[derive(Debug, Clone, Copy)]
+enum Install {
+    /// A cold fault-in: installs into an empty slot at the slot's
+    /// generation; a domain published while it loaded wins instead.
+    FaultIn,
+    /// A hot-swap: replaces the resident domain at the next generation.
+    Reload,
 }
 
 /// Per-domain bookkeeping that survives eviction.
 struct DomainSlot {
     resident: Option<Arc<Domain>>,
     generation: u64,
+    /// Digest of the last `dataset.json` parse.
+    digest: Option<DatasetDigest>,
     /// Logical clock value of the most recent use (LRU order).
     last_used: u64,
     hits: u64,
@@ -207,6 +268,7 @@ impl ModelRegistry {
                 DomainSlot {
                     resident: None,
                     generation: 0,
+                    digest: None,
                     last_used: 0,
                     hits: 0,
                     misses: 0,
@@ -246,7 +308,7 @@ impl ModelRegistry {
     /// Returns [`RegistryError::UnknownModel`] for names that were not
     /// discovered at [`Self::open`] time.
     pub fn get(&self, name: &str) -> Result<Arc<Domain>, RegistryError> {
-        let generation = {
+        let digest = {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
             inner.clock += 1;
             let clock = inner.clock;
@@ -259,51 +321,69 @@ impl ModelRegistry {
                 slot.hits += 1;
                 return Ok(Arc::clone(domain));
             }
-            slot.generation
+            slot.digest
         };
-        // Cold: load outside the lock (concurrent callers may race to
-        // load the same domain; the first to publish wins, the loser's
-        // work is dropped — correctness over cleverness, and the serve
-        // layer's single-flight already bounds duplicate match work).
-        let domain = Arc::new(self.load_domain(name, generation)?);
-        Ok(self.publish(name, domain))
+        // Cold: load outside the lock. Concurrent callers may race to
+        // load the same domain; the first to publish wins and the
+        // others get its domain — correctness over cleverness, and the
+        // serve layer's single-flight already bounds duplicate match
+        // work.
+        let loaded = self.load_domain(name, digest)?;
+        Ok(self.publish(name, loaded, Install::FaultIn))
     }
 
     /// Re-open `name` from disk and swap it in atomically with a bumped
     /// generation — the per-domain hot-swap. In-flight requests holding
     /// the old `Arc<Domain>` finish against the old artifacts.
     pub fn reload(&self, name: &str) -> Result<Arc<Domain>, RegistryError> {
-        let next_generation = {
+        let digest = {
             let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let slot = inner
+            inner
                 .domains
                 .get(name)
-                .ok_or_else(|| RegistryError::UnknownModel(name.to_string()))?;
-            slot.generation + 1
+                .ok_or_else(|| RegistryError::UnknownModel(name.to_string()))?
+                .digest
         };
-        let domain = Arc::new(self.load_domain(name, next_generation)?);
-        Ok(self.publish(name, domain))
+        let loaded = self.load_domain(name, digest)?;
+        Ok(self.publish(name, loaded, Install::Reload))
     }
 
-    /// Install a freshly loaded domain, update accounting, and evict
-    /// LRU residents until the budget holds again.
-    fn publish(&self, name: &str, domain: Arc<Domain>) -> Arc<Domain> {
+    /// Install a freshly loaded domain under the lock — assigning its
+    /// generation here, so two loads can never publish the same one —
+    /// update accounting, and evict LRU residents until the budget
+    /// holds again. A fault-in that finds the slot already filled
+    /// returns the resident domain and drops its own load.
+    fn publish(
+        &self,
+        name: &str,
+        (mut domain, digest): (Domain, DatasetDigest),
+        install: Install,
+    ) -> Arc<Domain> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.clock += 1;
         let clock = inner.clock;
-        let mut freed = 0u64;
-        if let Some(slot) = inner.domains.get_mut(name) {
-            if let Some(old) = slot.resident.take() {
-                freed = old.bytes;
-            }
-            slot.resident = Some(Arc::clone(&domain));
-            slot.generation = domain.generation;
-            slot.last_used = clock;
-            slot.misses += 1;
-            slot.bytes = domain.bytes;
-            slot.open_ms = domain.open_ms;
-            slot.open_path = domain.model_open_path.label();
+        let Some(slot) = inner.domains.get_mut(name) else {
+            // Every load starts from a discovered name, and the set of
+            // names never changes after `open`.
+            return Arc::new(domain);
+        };
+        slot.last_used = clock;
+        slot.misses += 1;
+        match (install, &slot.resident) {
+            (Install::FaultIn, Some(resident)) => return Arc::clone(resident),
+            (Install::FaultIn, None) => {}
+            (Install::Reload, _) => slot.generation += 1,
         }
+        domain.generation = slot.generation;
+        let domain = Arc::new(domain);
+        let freed = slot
+            .resident
+            .replace(Arc::clone(&domain))
+            .map_or(0, |old| old.bytes);
+        slot.digest = Some(digest);
+        slot.bytes = domain.bytes;
+        slot.open_ms = domain.open_ms;
+        slot.open_path = domain.model_open_path.label();
         inner.resident_bytes = inner.resident_bytes - freed + domain.bytes;
         if let Some(budget) = self.config.resident_budget_bytes {
             // Evict least-recently-used residents other than the one
@@ -372,66 +452,125 @@ impl ModelRegistry {
     }
 
     /// Load every artifact of one domain from disk. Runs without the
-    /// registry lock held.
-    fn load_domain(&self, name: &str, generation: u64) -> Result<Domain, RegistryError> {
-        let invalid = |reason: String| RegistryError::InvalidDomain {
-            name: name.to_string(),
-            reason,
-        };
+    /// registry lock held; the generation is left at 0 for
+    /// [`Self::publish`] to assign.
+    ///
+    /// `prior` is the digest of the last parse of the domain's
+    /// `dataset.json`. With a feature cache, a file whose streamed
+    /// CRC-64 still matches it is not parsed again; the fingerprint
+    /// check against the cache runs either way.
+    fn load_domain(
+        &self,
+        name: &str,
+        prior: Option<DatasetDigest>,
+    ) -> Result<(Domain, DatasetDigest), RegistryError> {
         let dir = self.root.join(name);
         let started = Instant::now();
         let model_path = dir.join("model.lmp");
         let (model, model_open_path) = LeapmeModel::load_with_report(&model_path)?;
         let dataset_path = dir.join("dataset.json");
-        let json = std::fs::read_to_string(&dataset_path)
-            .map_err(|e| invalid(format!("{}: {e}", dataset_path.display())))?;
-        let dataset = Dataset::from_json(&json)
-            .map_err(|e| invalid(format!("{}: {e}", dataset_path.display())))?;
 
         let cache_path = dir.join("features.lfc");
         let mut bytes = file_len(&model_path);
-        let (store, store_source) = if cache_path.is_file() {
+        let (store, store_source, digest) = if cache_path.is_file() {
+            let digest = match prior {
+                Some(prior) if file_crc64(name, &dataset_path)? == prior.crc => prior,
+                _ => parse_dataset(name, &dataset_path)?.1,
+            };
             let (store, recorded, label) = feature_cache::load_resident(&cache_path)
-                .map_err(|e| invalid(format!("{}: {e}", cache_path.display())))?;
+                .map_err(|e| invalid_file(name, &cache_path, e))?;
             // The cache carries no embeddings to re-fingerprint against
             // here; the dataset half of the fingerprint is checkable
             // and must match, or the cache belongs to different data.
-            let expected = feature_cache::dataset_fingerprint(&dataset);
-            if recorded.dataset != expected {
-                return Err(invalid(format!(
-                    "feature cache fingerprint {:#018x} does not match dataset {expected:#018x}",
-                    recorded.dataset
-                )));
+            if recorded.dataset != digest.fingerprint {
+                return Err(fingerprint_mismatch(
+                    name,
+                    recorded.dataset,
+                    digest.fingerprint,
+                ));
             }
             bytes += file_len(&cache_path);
-            (store, label)
+            (store, label, digest)
         } else {
             let emb_path = dir.join("embeddings.txt");
             if !emb_path.is_file() {
-                return Err(invalid(
-                    "neither features.lfc nor embeddings.txt present".to_string(),
-                ));
+                return Err(RegistryError::InvalidDomain {
+                    name: name.to_string(),
+                    reason: "neither features.lfc nor embeddings.txt present".to_string(),
+                });
             }
+            // Building the store needs the whole dataset: parse.
+            let (dataset, digest) = parse_dataset(name, &dataset_path)?;
             let embeddings = EmbeddingStore::load_text(&emb_path)
-                .map_err(|e| invalid(format!("{}: {e}", emb_path.display())))?;
+                .map_err(|e| invalid_file(name, &emb_path, e))?;
             let store = PropertyFeatureStore::build(&dataset, &embeddings);
             // Estimate: the store owns its vectors, so account the slab
             // it would occupy.
             bytes += (store.len() * leapme_features::property::len(store.dim()) * 4) as u64;
-            (store, "built")
+            (store, "built", digest)
         };
 
-        Ok(Domain {
+        let domain = Domain {
             name: name.to_string(),
             model,
-            dataset,
+            sources: digest.sources,
+            dataset_fingerprint: digest.fingerprint,
             store,
-            generation,
+            generation: 0,
             model_open_path,
             store_source,
             bytes,
             open_ms: started.elapsed().as_millis() as u64,
-        })
+            dataset_path,
+        };
+        Ok((domain, digest))
+    }
+}
+
+/// Read and parse `dataset.json`, digesting the very bytes parsed.
+fn parse_dataset(name: &str, path: &Path) -> Result<(Dataset, DatasetDigest), RegistryError> {
+    let json = std::fs::read_to_string(path).map_err(|e| invalid_file(name, path, e))?;
+    let dataset = Dataset::from_json(&json).map_err(|e| invalid_file(name, path, e))?;
+    let digest = DatasetDigest {
+        crc: crc64(json.as_bytes()),
+        fingerprint: feature_cache::dataset_fingerprint(&dataset),
+        sources: dataset.sources().len(),
+    };
+    Ok((dataset, digest))
+}
+
+/// CRC-64 of a file, streamed through a fixed stack buffer so checking
+/// an unchanged dataset allocates nothing however large it is.
+fn file_crc64(name: &str, path: &Path) -> Result<u64, RegistryError> {
+    let mut file = std::fs::File::open(path).map_err(|e| invalid_file(name, path, e))?;
+    let mut buf = [0u8; 64 * 1024];
+    let mut crc = 0;
+    loop {
+        match file.read(&mut buf) {
+            Ok(0) => return Ok(crc),
+            Ok(n) => crc = crc64_update(crc, &buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(invalid_file(name, path, e)),
+        }
+    }
+}
+
+/// The typed error for a domain file that cannot be read or decoded.
+fn invalid_file(name: &str, path: &Path, e: impl std::fmt::Display) -> RegistryError {
+    RegistryError::InvalidDomain {
+        name: name.to_string(),
+        reason: format!("{}: {e}", path.display()),
+    }
+}
+
+/// The typed error for a feature store whose recorded dataset
+/// fingerprint differs from the dataset's.
+fn fingerprint_mismatch(name: &str, store: u64, dataset: u64) -> RegistryError {
+    RegistryError::InvalidDomain {
+        name: name.to_string(),
+        reason: format!(
+            "feature store fingerprint {store:#018x} does not match dataset {dataset:#018x}"
+        ),
     }
 }
 
@@ -574,11 +713,131 @@ mod tests {
         assert!(!Arc::ptr_eq(&old, &new));
         // The evicted-by-swap domain stays fully usable for in-flight
         // work: scoring over the old mapping must still succeed.
-        let pairs = sampling::test_pairs(&old.dataset, &[]);
+        let pairs = sampling::test_pairs(&old.dataset().unwrap(), &[]);
         let a = old.model.score_pairs(&old.store, &pairs).unwrap();
         let b = new.model.score_pairs(&new.store, &pairs).unwrap();
         assert_eq!(a, b, "identical artifacts must score identically");
         assert_eq!(reg.stats().domains[0].generation, 1);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn reloads_published_in_either_order_get_the_next_two_generations() {
+        let root = registry_root("reload-race", 1);
+        let reg = ModelRegistry::open(&root, RegistryConfig::default()).unwrap();
+        reg.get("dom0").unwrap();
+        for first_published in [0, 1] {
+            let g = reg.stats().domains[0].generation;
+            // Both loads finish before either publishes, as two
+            // concurrent `/reload`s released together would.
+            let mut loads = [
+                Some(reg.load_domain("dom0", None).unwrap()),
+                Some(reg.load_domain("dom0", None).unwrap()),
+            ];
+            let mut publish =
+                |i: usize| reg.publish("dom0", loads[i].take().unwrap(), Install::Reload);
+            let a = publish(first_published);
+            let b = publish(1 - first_published);
+            assert_eq!((a.generation, b.generation), (g + 1, g + 2));
+            assert!(
+                Arc::ptr_eq(&reg.get("dom0").unwrap(), &b),
+                "the last publish is resident"
+            );
+            assert_eq!(reg.stats().domains[0].generation, g + 2);
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn fault_in_published_after_a_reload_keeps_the_reloaded_domain() {
+        let root = registry_root("faultin-race", 1);
+        let reg = ModelRegistry::open(&root, RegistryConfig::default()).unwrap();
+        // A cold `get` loads, then a `/reload` completes before it
+        // publishes.
+        let cold = reg.load_domain("dom0", None).unwrap();
+        let reloaded = reg.reload("dom0").unwrap();
+        assert_eq!(reloaded.generation, 1);
+        let got = reg.publish("dom0", cold, Install::FaultIn);
+        assert!(
+            Arc::ptr_eq(&got, &reloaded),
+            "the late fault-in must not replace the reload"
+        );
+        assert_eq!(reg.stats().domains[0].generation, 1, "no rollback");
+        assert!(Arc::ptr_eq(&reg.get("dom0").unwrap(), &reloaded));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Whether `result` is the typed refusal of a dataset whose
+    /// fingerprint no longer matches the feature store.
+    fn is_fingerprint_mismatch<T>(result: Result<T, RegistryError>) -> bool {
+        matches!(
+            result,
+            Err(RegistryError::InvalidDomain { ref name, ref reason })
+                if name == "dom0" && reason.contains("fingerprint")
+        )
+    }
+
+    #[test]
+    fn same_length_dataset_edit_is_refused_everywhere_until_restored() {
+        let root = registry_root("stale", 1);
+        let reg = ModelRegistry::open(&root, RegistryConfig::default()).unwrap();
+        let before = reg.get("dom0").unwrap();
+        assert_eq!(before.dataset().unwrap().sources().len(), before.sources);
+
+        // One value byte changes; the file length does not.
+        let path = root.join("dom0/dataset.json");
+        let original = std::fs::read_to_string(&path).unwrap();
+        let edited = original.replacen("20.1 MP", "20.2 MP", 1);
+        assert_ne!(edited, original);
+        assert_eq!(edited.len(), original.len());
+        std::fs::write(&path, &edited).unwrap();
+
+        assert!(is_fingerprint_mismatch(before.dataset()), "dataset()");
+        assert!(is_fingerprint_mismatch(reg.reload("dom0")), "reload");
+        assert!(
+            Arc::ptr_eq(&reg.get("dom0").unwrap(), &before),
+            "a failed reload leaves the resident generation serving"
+        );
+        reg.evict("dom0").unwrap();
+        assert!(is_fingerprint_mismatch(reg.get("dom0")), "fault-in");
+
+        std::fs::write(&path, &original).unwrap();
+        let back = reg.get("dom0").unwrap();
+        assert_eq!(back.generation, 0, "failed loads publish nothing");
+        assert!(back.dataset().is_ok());
+        assert_eq!(reg.reload("dom0").unwrap().generation, 1);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn changed_dataset_with_a_matching_cache_is_parsed_again() {
+        let root = registry_root("changed", 1);
+        let reg = ModelRegistry::open(&root, RegistryConfig::default()).unwrap();
+        assert_eq!(reg.get("dom0").unwrap().sources, 2);
+
+        // Republish the domain's data with a third (empty) source and a
+        // cache built for it: the digest no longer matches, so the
+        // reload must parse the new file rather than reuse the count.
+        let old = dataset();
+        let grown = Dataset::new(
+            old.name(),
+            vec!["a".into(), "b".into(), "c".into()],
+            old.instances().to_vec(),
+            old.alignment().clone(),
+        )
+        .unwrap();
+        let emb = embeddings();
+        let store = PropertyFeatureStore::build(&grown, &emb);
+        let dir = root.join("dom0");
+        std::fs::write(dir.join("dataset.json"), grown.to_json()).unwrap();
+        let fp = feature_cache::fingerprint(&grown, &emb);
+        feature_cache::save(&dir.join("features.lfc"), &store, &fp).unwrap();
+
+        let reloaded = reg.reload("dom0").unwrap();
+        assert_eq!(reloaded.sources, 3);
+        assert_eq!(reloaded.dataset_fingerprint, fp.dataset);
+        reg.evict("dom0").unwrap();
+        assert_eq!(reg.get("dom0").unwrap().sources, 3, "re-fault");
         std::fs::remove_dir_all(&root).ok();
     }
 

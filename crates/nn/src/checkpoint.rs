@@ -187,14 +187,22 @@ fn crc64_tables() -> &'static [[u64; 256]; 8] {
 
 /// CRC-64/XZ of `bytes` — the checksum guarding every container payload
 /// and every journal record in `leapme-core`.
+pub fn crc64(bytes: &[u8]) -> u64 {
+    crc64_update(0, bytes)
+}
+
+/// Streaming CRC-64/XZ: extend `crc`, the checksum of everything fed
+/// so far (0 for nothing), by `bytes`. Feeding a buffer in any split
+/// gives the same value as [`crc64`] over the whole, so a file can be
+/// checksummed through a fixed buffer.
 ///
 /// Implemented as slicing-by-8 (eight parallel lookup tables consuming
 /// one `u64` per step) because the v2 container verifies whole mapped
 /// sections at open time, making checksum throughput part of the
 /// model-open latency budget.
-pub fn crc64(bytes: &[u8]) -> u64 {
+pub fn crc64_update(crc: u64, bytes: &[u8]) -> u64 {
     let t = crc64_tables();
-    let mut crc = !0u64;
+    let mut crc = !crc;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let v = crc ^ u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
@@ -847,6 +855,12 @@ mod tests {
         // CRC-64/XZ check value for "123456789".
         assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
         assert_eq!(crc64(b""), 0);
+        // The streaming form agrees at every split point, including
+        // splits inside an 8-byte slice.
+        for split in 0..=9 {
+            let (a, b) = b"123456789".split_at(split);
+            assert_eq!(crc64_update(crc64_update(0, a), b), 0x995D_C9BB_DF19_39FA);
+        }
     }
 
     #[test]

@@ -141,8 +141,14 @@ fn resolve_domain(
             "unknown-model",
             &format!("no domain {n:?} in the registry"),
         )),
-        Err(e) => Err(Response::error(500, "model-load-failed", &e.to_string())),
+        Err(e) => Err(load_failed(&e)),
     }
+}
+
+/// The typed 500 for a domain whose artifacts cannot be loaded, or no
+/// longer agree with each other.
+fn load_failed(e: &RegistryError) -> Response {
+    Response::error(500, "model-load-failed", &e.to_string())
 }
 
 /// In single-model mode a model selector is a contract violation, not
@@ -258,7 +264,7 @@ fn score(state: &ServeState, req: &Request, token: &CancelToken) -> Response {
             let resident = engine.resident.read().unwrap_or_else(|e| e.into_inner());
             score_against(
                 &engine.model,
-                &resident.dataset,
+                resident.dataset.sources().len(),
                 &resident.store,
                 &parsed.pairs,
                 token,
@@ -271,7 +277,7 @@ fn score(state: &ServeState, req: &Request, token: &CancelToken) -> Response {
             };
             score_against(
                 &domain.model,
-                &domain.dataset,
+                domain.sources,
                 &domain.store,
                 &parsed.pairs,
                 token,
@@ -281,18 +287,17 @@ fn score(state: &ServeState, req: &Request, token: &CancelToken) -> Response {
 }
 
 /// The engine-independent half of `POST /score`: validate the pair
-/// list against one dataset + store, score it chunked, and render the
-/// response.
+/// list against a dataset of `n_sources` sources and its store, score
+/// it chunked, and render the response.
 fn score_against(
     model: &LeapmeModel,
-    dataset: &Dataset,
+    n_sources: usize,
     store: &PropertyFeatureStore,
     raw_pairs: &[(u16, String, u16, String)],
     token: &CancelToken,
 ) -> Response {
     let mut pairs = Vec::with_capacity(raw_pairs.len());
     for (i, (sa, pa, sb, pb)) in raw_pairs.iter().enumerate() {
-        let n_sources = dataset.sources().len();
         for sid in [*sa, *sb] {
             if usize::from(sid) >= n_sources {
                 return Response::error(
@@ -368,8 +373,9 @@ fn score_chunked(
     Ok((scores, degraded))
 }
 
-/// `POST /match`: score every cross-source pair of the resident dataset
-/// into a similarity graph — the warm equivalent of the batch
+/// `POST /match`: score every cross-source pair of the dataset into a
+/// similarity graph (in registry mode the leader parses the domain's
+/// dataset from disk) — the warm equivalent of the batch
 /// `match --model` path, byte-identical on an undegraded run because it
 /// streams the same pairs through the same scorer and serializes with
 /// the same pretty printer.
@@ -462,14 +468,16 @@ fn match_domain(
             }
             FlightRole::Retry => continue,
             FlightRole::Leader => {
-                return match_lead(
-                    state,
-                    key,
-                    &domain.model,
-                    &domain.dataset,
-                    &domain.store,
-                    token,
-                );
+                // Parsed on demand, and refused when the file no longer
+                // matches the store the domain was verified against.
+                let dataset = match domain.dataset() {
+                    Ok(d) => d,
+                    Err(e) => {
+                        state.singleflight.abandon(key);
+                        return load_failed(&e);
+                    }
+                };
+                return match_lead(state, key, &domain.model, &dataset, &domain.store, token);
             }
         }
     }

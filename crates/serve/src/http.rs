@@ -306,10 +306,16 @@ impl Response {
         r
     }
 
-    /// Serialize head + body to the wire.
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    /// Serialize head + body to the wire in one `write_all`. Two writes
+    /// would leave the body behind Nagle's algorithm until the peer
+    /// acknowledges the head — on a kept-alive connection that is the
+    /// peer's delayed-ACK timer, about 40 ms per exchange.
+    pub fn write_to<W: Write>(&self, out: &mut W) -> std::io::Result<()> {
+        use std::fmt::Write as _;
         let connection = if self.keep_alive { "keep-alive" } else { "close" };
-        let mut head = format!(
+        let mut wire = String::with_capacity(160 + self.body.len());
+        let _ = write!(
+            wire,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {connection}\r\n",
             self.status,
             status_text(self.status),
@@ -317,15 +323,15 @@ impl Response {
             self.body.len()
         );
         if let Some(secs) = self.retry_after {
-            head.push_str(&format!("retry-after: {secs}\r\n"));
+            let _ = write!(wire, "retry-after: {secs}\r\n");
         }
         if self.degraded {
-            head.push_str("x-leapme-degraded: true\r\n");
+            wire.push_str("x-leapme-degraded: true\r\n");
         }
-        head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(self.body.as_bytes())?;
-        stream.flush()
+        wire.push_str("\r\n");
+        wire.push_str(&self.body);
+        out.write_all(wire.as_bytes())?;
+        out.flush()
     }
 }
 
@@ -388,5 +394,88 @@ pub fn error_response(e: &HttpError) -> Option<Response> {
         )),
         HttpError::Disconnected => None,
         HttpError::Io(e) => Some(Response::error(400, "bad-request", &e.to_string())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that records every `write` call separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+        let (_, value) = headers.iter().find(|(k, _)| k == name)?;
+        Some(value)
+    }
+
+    /// Split a serialized response into status, lowercased headers and
+    /// body, checking `content-length` against the body.
+    fn parse_response(wire: &[u8]) -> (u16, Vec<(String, String)>, String) {
+        let text = std::str::from_utf8(wire).unwrap();
+        let (head, body) = text.split_once("\r\n\r\n").expect("head terminator");
+        let mut lines = head.split("\r\n");
+        let status = lines
+            .next()
+            .and_then(|l| l.strip_prefix("HTTP/1.1 "))
+            .and_then(|l| l.split(' ').next())
+            .and_then(|s| s.parse().ok())
+            .expect("status line");
+        let headers: Vec<(String, String)> = lines
+            .map(|l| {
+                let (k, v) = l.split_once(':').expect("header line");
+                (k.trim().to_ascii_lowercase(), v.trim().to_string())
+            })
+            .collect();
+        let length = body.len().to_string();
+        assert_eq!(header(&headers, "content-length"), Some(length.as_str()));
+        (status, headers, body.to_string())
+    }
+
+    #[test]
+    fn every_response_shape_goes_out_in_one_write() {
+        let plain = Response::json(200, "{\"scores\":[0.5]}".to_string());
+        let mut degraded = plain.clone();
+        degraded.degraded = true;
+        let shed = Response::shed(2);
+        let mut kept = plain.clone();
+        kept.keep_alive = true;
+
+        for (response, extra) in [
+            (&plain, None),
+            (&degraded, Some(("x-leapme-degraded", "true"))),
+            (&shed, Some(("retry-after", "2"))),
+            (&kept, None),
+        ] {
+            let mut out = CountingWriter::default();
+            response.write_to(&mut out).unwrap();
+            assert_eq!(out.writes.len(), 1, "{response:?}: {:?}", out.writes);
+            let (status, headers, body) = parse_response(&out.writes[0]);
+            assert_eq!(status, response.status);
+            assert_eq!(body, response.body);
+            let connection = if response.keep_alive {
+                "keep-alive"
+            } else {
+                "close"
+            };
+            assert_eq!(header(&headers, "connection"), Some(connection));
+            if let Some((name, value)) = extra {
+                assert_eq!(header(&headers, name), Some(value));
+            }
+        }
     }
 }

@@ -3,21 +3,18 @@
 //!
 //! Fixed capacity, `try_push` only — when the queue is full the caller
 //! sheds load (503 + `Retry-After`) instead of buffering, so memory
-//! stays bounded no matter how hard clients push. Closing the queue
-//! wakes every worker; they drain the remaining items and exit.
+//! stays bounded no matter how hard clients push. Workers block in
+//! [`Bounded::pop`]; closing the queue wakes every one of them, and
+//! they drain the remaining items and exit.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Outcome of a blocking pop.
 #[derive(Debug)]
 pub enum Pop<T> {
     /// An item was dequeued.
     Item(T),
-    /// The wait timed out with the queue still open — poll shutdown
-    /// state and come back.
-    Empty,
     /// The queue is closed and fully drained; the worker should exit.
     Closed,
 }
@@ -60,10 +57,10 @@ impl<T> Bounded<T> {
         Ok(())
     }
 
-    /// Dequeue, waiting up to `timeout`. Returns [`Pop::Closed`] only
-    /// once the queue is both closed *and* empty, so every admitted
-    /// item is processed before workers exit.
-    pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
+    /// Dequeue, blocking until an item arrives or the queue closes.
+    /// Returns [`Pop::Closed`] only once the queue is both closed *and*
+    /// empty, so every admitted item is processed before workers exit.
+    pub fn pop(&self) -> Pop<T> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(item) = inner.items.pop_front() {
@@ -72,18 +69,7 @@ impl<T> Bounded<T> {
             if inner.closed {
                 return Pop::Closed;
             }
-            let (next, result) = self
-                .ready
-                .wait_timeout(inner, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = next;
-            if result.timed_out() {
-                return match inner.items.pop_front() {
-                    Some(item) => Pop::Item(item),
-                    None if inner.closed => Pop::Closed,
-                    None => Pop::Empty,
-                };
-            }
+            inner = self.ready.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -115,6 +101,7 @@ impl<T> Bounded<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn overflow_is_rejected_not_buffered() {
@@ -132,15 +119,9 @@ mod tests {
         q.try_push(2).unwrap();
         q.close();
         assert!(q.try_push(3).is_err(), "no admission after close");
-        assert!(matches!(q.pop_timeout(Duration::from_millis(10)), Pop::Item(1)));
-        assert!(matches!(q.pop_timeout(Duration::from_millis(10)), Pop::Item(2)));
-        assert!(matches!(q.pop_timeout(Duration::from_millis(10)), Pop::Closed));
-    }
-
-    #[test]
-    fn empty_timeout_lets_workers_poll_shutdown() {
-        let q: Bounded<u32> = Bounded::new(1);
-        assert!(matches!(q.pop_timeout(Duration::from_millis(5)), Pop::Empty));
+        assert!(matches!(q.pop(), Pop::Item(1)));
+        assert!(matches!(q.pop(), Pop::Item(2)));
+        assert!(matches!(q.pop(), Pop::Closed));
     }
 
     #[test]
@@ -164,12 +145,8 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 let mut got = 0u64;
-                loop {
-                    match q.pop_timeout(Duration::from_millis(20)) {
-                        Pop::Item(_) => got += 1,
-                        Pop::Empty => {}
-                        Pop::Closed => break,
-                    }
+                while let Pop::Item(_) = q.pop() {
+                    got += 1;
                 }
                 got
             })

@@ -4,9 +4,10 @@
 //! shutdown flag between accepts, sheds with a `503 + Retry-After`
 //! when the bounded queue is full, and on shutdown flips the draining
 //! flag, closes the queue, and drops the listener. A fixed pool of
-//! worker threads pops connections, parses with socket timeouts, runs
-//! the handler under `catch_unwind`, and keeps serving after any panic
-//! — a poisoned request never takes a worker (or the process) down.
+//! worker threads blocks on the queue (closing it wakes them all),
+//! parses with socket timeouts, runs the handler under `catch_unwind`,
+//! and keeps serving after any panic — a poisoned request never takes
+//! a worker (or the process) down.
 
 use crate::handlers::{self, request_deadline};
 use crate::http::{drain_then_close, error_response, read_request, HttpError, Response};
@@ -22,7 +23,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often idle threads poll the shutdown flag.
+/// How often the idle accept loop polls the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Lingering-close budget for responses sent before the request was
@@ -259,12 +260,8 @@ fn accept_loop(
 
 /// Pop-and-serve until the queue reports closed-and-drained.
 fn worker_loop(state: Arc<ServeState>, queue: Arc<Bounded<Job>>) {
-    loop {
-        match queue.pop_timeout(POLL_INTERVAL) {
-            Pop::Item(job) => serve_connection(&state, job.stream),
-            Pop::Empty => continue,
-            Pop::Closed => break,
-        }
+    while let Pop::Item(job) = queue.pop() {
+        serve_connection(&state, job.stream);
     }
 }
 
@@ -288,7 +285,12 @@ fn injected_write_fault() -> bool {
 /// semantics: the same socket timeouts (a slow-loris *second* request
 /// dies like a first), its own deadline token, its own panic boundary.
 /// A drain in progress closes after the in-flight response.
+///
+/// `TCP_NODELAY` goes on first: each response is already one write, and
+/// without it a reply larger than one segment would hold its last
+/// segment back until the client acknowledged the others.
 fn serve_connection(state: &ServeState, mut stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(state.config.io_timeout));
     let _ = stream.set_write_timeout(Some(state.config.io_timeout));
     let max_requests = state.config.keep_alive_max_requests.max(1);

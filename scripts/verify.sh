@@ -878,6 +878,53 @@ if metrics.get("reloads", 0) < 1:
 gens = {d["name"]: d["generation"] for d in registry["domains"]}
 print(f"    routed both domains, swap bumped alpha to generation "
       f"{gens.get('alpha')}, beta untouched at {gens.get('beta')}")
+
+# A stale dataset: one byte of alpha's dataset.json changes, its length
+# does not. The reload must refuse it by fingerprint while alpha keeps
+# serving its previous generation byte for byte; restoring the file
+# makes the next reload succeed with a bumped generation.
+def generation(name):
+    status, body = roundtrip("GET", "/metrics")
+    return {d["name"]: d["generation"]
+            for d in json.loads(body)["registry"]["domains"]}[name]
+
+dataset_path = f"{reg_root}/alpha/dataset.json"
+with open(dataset_path, "rb") as f:
+    pristine = f.read()
+props = {}
+for inst in json.loads(pristine)["instances"]:
+    names = props.setdefault(inst["source"], [])
+    if inst["property"] not in names:
+        names.append(inst["property"])
+pairs = [[0, a, 1, b] for a in props[0][:4] for b in props[1][:4]]
+score_body = json.dumps({"model": "alpha", "pairs": pairs})
+status, scored = roundtrip("POST", "/score", score_body)
+if status != 200:
+    sys.exit(f"stale-dataset drill: /score returned {status}: {scored[:200]!r}")
+gen_before = generation("alpha")
+
+key = b'"entity": "'
+at = pristine.index(key) + len(key)
+edited = pristine[:at] + bytes([pristine[at] ^ 1]) + pristine[at + 1:]
+with open(dataset_path, "wb") as f:
+    f.write(edited)
+status, body = roundtrip("POST", "/reload", json.dumps({"model": "alpha"}))
+if status != 500 or b"reload-failed" not in body or b"fingerprint" not in body:
+    sys.exit(f"stale-dataset drill: reload of an edited dataset gave {status}: {body!r}")
+status, again = roundtrip("POST", "/score", score_body)
+if status != 200 or again != scored:
+    sys.exit(f"stale-dataset drill: alpha's /score changed after the refused reload "
+             f"({status}): {again[:200]!r}")
+if generation("alpha") != gen_before:
+    sys.exit("stale-dataset drill: the refused reload moved alpha's generation")
+
+with open(dataset_path, "wb") as f:
+    f.write(pristine)
+status, body = roundtrip("POST", "/reload", json.dumps({"model": "alpha"}))
+if status != 200 or json.loads(body).get("generation") != gen_before + 1:
+    sys.exit(f"stale-dataset drill: reload after restoring gave {status}: {body!r}")
+print(f"    edited dataset refused by fingerprint, generation {gen_before} served "
+      f"byte-identical /score; restored file reloaded as generation {gen_before + 1}")
 EOF
 if ! grep -q '"event":"reload"' "$DRILL_DIR/regserve.journal"; then
     echo "registry hot-swap drill: journal has no reload record" >&2

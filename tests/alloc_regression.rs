@@ -265,3 +265,100 @@ fn warmed_fill_pair_block_is_alloc_free() {
     );
     std::env::remove_var(THREADS_ENV);
 }
+
+#[test]
+fn registry_refault_of_an_unchanged_dataset_allocates_independently_of_its_size() {
+    use leapme::core::feature_cache;
+    use leapme::core::pipeline::{Leapme, LeapmeConfig};
+    use leapme::core::registry::{ModelRegistry, RegistryConfig};
+    use leapme::core::sampling;
+    use leapme::data::model::{Dataset, Instance, SourceId};
+    use leapme::nn::network::TrainConfig;
+    use leapme::nn::schedule::LrSchedule;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let root = std::env::temp_dir().join("leapme_alloc_registry_refault");
+    std::fs::remove_dir_all(&root).ok();
+    let emb = embeddings();
+    let small = leapme::data::domains::generate(leapme::data::domains::Domain::Tvs, 3);
+    // The same schema with every entity repeated under 32 new names:
+    // the same properties and cache layout, 32× the instances.
+    let instances: Vec<Instance> = (0..32)
+        .flat_map(|r| {
+            small.instances().iter().map(move |i| Instance {
+                entity: format!("{}r{r:02}", i.entity),
+                ..i.clone()
+            })
+        })
+        .collect();
+    let large = Dataset::new(
+        small.name(),
+        small.sources().to_vec(),
+        instances,
+        small.alignment().clone(),
+    )
+    .unwrap();
+
+    let store = PropertyFeatureStore::build(&small, &emb);
+    let sources: Vec<SourceId> = (0..small.sources().len() as u16).map(SourceId).collect();
+    let mut rng = StdRng::seed_from_u64(11);
+    let train = sampling::training_pairs(&small, &sources, 2, &mut rng);
+    let cfg = LeapmeConfig {
+        train: TrainConfig {
+            schedule: LrSchedule::new(vec![(2, 1e-3)]),
+            ..TrainConfig::default()
+        },
+        hidden: vec![4],
+        ..LeapmeConfig::default()
+    };
+    let model = Leapme::fit(&store, &train, &cfg).unwrap();
+    // Equal-length names keep every path the fault-in builds the same
+    // length in both domains.
+    for (name, dataset) in [("small", &small), ("large", &large)] {
+        let dir = root.join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        model.save(&dir.join("model.lmp")).unwrap();
+        std::fs::write(dir.join("dataset.json"), dataset.to_json()).unwrap();
+        let store = PropertyFeatureStore::build(dataset, &emb);
+        let fp = feature_cache::fingerprint(dataset, &emb);
+        feature_cache::save(&dir.join("features.lfc"), &store, &fp).unwrap();
+    }
+    let len = |name: &str| {
+        let path = root.join(name).join("dataset.json");
+        std::fs::metadata(path).unwrap().len()
+    };
+    assert!(
+        len("large") >= 30 * len("small"),
+        "fixture: {} vs {} bytes",
+        len("large"),
+        len("small")
+    );
+
+    // The first fault-in of each domain parses and records the digest;
+    // every later one over the unchanged file reuses it.
+    let registry = ModelRegistry::open(&root, RegistryConfig::default()).unwrap();
+    for _ in 0..2 {
+        for name in ["small", "large"] {
+            registry.get(name).unwrap();
+            registry.evict(name).unwrap();
+        }
+    }
+    let refault = |name: &str| {
+        let allocs = allocs_during(|| {
+            registry.get(name).unwrap();
+        });
+        registry.evict(name).unwrap();
+        allocs
+    };
+    let (small_allocs, large_allocs) = (refault("small"), refault("large"));
+    assert_eq!(
+        small_allocs,
+        large_allocs,
+        "re-faulting an unchanged dataset allocated {small_allocs} times at {} bytes \
+         but {large_allocs} at {} — the fault-in must not parse it again",
+        len("small"),
+        len("large")
+    );
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -25,7 +25,7 @@ use rand::SeedableRng;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // fixture
@@ -667,6 +667,43 @@ fn keep_alive_is_granted_explicitly_and_bounded_by_the_budget() {
     let mut rest = Vec::new();
     plain.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty());
+
+    handle.shutdown();
+    assert!(handle.join().clean);
+}
+
+/// A kept-alive `/score` costs what its handler costs: every reply
+/// goes out in one write on a `TCP_NODELAY` socket, so no reply segment
+/// waits for the client's delayed ACK (about 40 ms on Linux loopback).
+#[test]
+fn kept_alive_exchanges_do_not_wait_for_delayed_acks() {
+    let _g = serial();
+    let (handle, _state) = start_server(quick_config());
+    let (dataset, _, _) = fixture();
+    let (_, body) = score_body(dataset, 8);
+    let raw = format!(
+        "POST /score HTTP/1.1\r\nhost: test\r\nconnection: keep-alive\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // The first exchange also waits out the accept loop's poll; it
+    // opens the conversation and is not timed.
+    assert_eq!(status_of(&exchange(&mut stream, raw.as_bytes())), 200);
+
+    let mut slow = Vec::new();
+    for i in 0..20 {
+        let started = Instant::now();
+        let response = exchange(&mut stream, raw.as_bytes());
+        let ms = started.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(status_of(&response), 200, "exchange {i}: {response}");
+        if ms >= 20.0 {
+            slow.push(format!("#{i}: {ms:.1} ms"));
+        }
+    }
+    assert!(slow.is_empty(), "exchanges of 20 ms or more: {slow:?}");
 
     handle.shutdown();
     assert!(handle.join().clean);

@@ -76,7 +76,11 @@ fn registry_root() -> &'static PathBuf {
 }
 
 fn start_registry_server() -> (serve::ServerHandle, Arc<ServeState>) {
-    let registry = ModelRegistry::open(registry_root(), RegistryConfig::default()).unwrap();
+    start_server_over(registry_root())
+}
+
+fn start_server_over(root: &Path) -> (serve::ServerHandle, Arc<ServeState>) {
+    let registry = ModelRegistry::open(root, RegistryConfig::default()).unwrap();
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
@@ -302,6 +306,62 @@ fn reload_hot_swaps_one_domain() {
     assert!(body_of(&resp).contains("bad-model"), "{resp}");
 
     handle.shutdown();
+}
+
+/// Change one byte of the first instance's entity id: the file keeps
+/// its length, and the dataset gets a new fingerprint.
+fn same_length_edit(json: &str) -> String {
+    let key = "\"entity\": \"";
+    let at = json.find(key).expect("an instance entity") + key.len();
+    let mut bytes = json.as_bytes().to_vec();
+    bytes[at] ^= 1;
+    String::from_utf8(bytes).unwrap()
+}
+
+#[test]
+fn match_over_an_edited_dataset_is_a_typed_500_until_restored() {
+    let _g = serial();
+    let root = std::env::temp_dir()
+        .join("leapme_serve_registry_tests")
+        .join(format!("stale-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    write_domain(&root, "tvs", Domain::Tvs, true);
+    let (handle, state) = start_server_over(&root);
+    let addr = handle.addr();
+    let tvs = generate(Domain::Tvs, 4);
+
+    let scored = request(addr, "POST", "/score", &score_body(&tvs, 4, Some("tvs")));
+    assert_eq!(status_of(&scored), 200, "{scored}");
+    let path = root.join("tvs/dataset.json");
+    let original = std::fs::read_to_string(&path).unwrap();
+    let edited = same_length_edit(&original);
+    assert_eq!(edited.len(), original.len());
+    std::fs::write(&path, &edited).unwrap();
+
+    // /match parses the file on demand and finds it no longer matches
+    // the feature store the domain was verified against.
+    let resp = request_with_headers(addr, "POST", "/match", "x-leapme-model: tvs\r\n", "");
+    assert_eq!(status_of(&resp), 500, "{resp}");
+    let body = body_of(&resp);
+    assert!(body.contains("model-load-failed"), "{body}");
+    assert!(body.contains("fingerprint"), "{body}");
+
+    // A reload is refused the same way; the resident generation keeps
+    // answering /score byte for byte.
+    let resp = request(addr, "POST", "/reload", "{\"model\":\"tvs\"}");
+    assert_eq!(status_of(&resp), 500, "{resp}");
+    assert!(body_of(&resp).contains("reload-failed") && body_of(&resp).contains("fingerprint"));
+    let again = request(addr, "POST", "/score", &score_body(&tvs, 4, Some("tvs")));
+    assert_eq!(body_of(&again), body_of(&scored));
+    assert_eq!(state.registry().unwrap().get("tvs").unwrap().generation, 0);
+
+    std::fs::write(&path, &original).unwrap();
+    let resp = request_with_headers(addr, "POST", "/match", "x-leapme-model: tvs\r\n", "");
+    assert_eq!(status_of(&resp), 200, "{resp}");
+
+    handle.shutdown();
+    assert!(handle.join().clean);
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]

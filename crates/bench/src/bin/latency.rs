@@ -129,7 +129,7 @@ fn main() {
                 ..ServeConfig::default()
             },
         ));
-        let handle = serve::start(Arc::clone(&state), None).unwrap();
+        let handle = serve::start(Arc::clone(&state)).unwrap();
         (handle, state)
     };
 

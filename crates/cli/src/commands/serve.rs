@@ -2,11 +2,12 @@
 //! answer scoring/matching/integration requests over HTTP.
 //!
 //! The command loads everything once (model, embeddings, dataset,
-//! feature cache), prints the bound address, and blocks until
-//! SIGINT/SIGTERM starts the graceful drain: the accept loop stops, the
-//! admission queue empties, in-flight requests finish or cancel at
-//! their deadline, and the drain summary decides the exit code — `0`
-//! when every admitted request was honored, `3` when any were cut off.
+//! feature cache), prints the bound address, and waits on this thread
+//! for SIGINT/SIGTERM, then starts the graceful drain: the accept loop
+//! stops, the admission queue empties, in-flight requests finish or
+//! cancel at their deadline, and the drain summary decides the exit
+//! code — `0` when every admitted request was honored, `3` when any
+//! were cut off.
 
 use super::{load_dataset, to_json};
 use crate::args::Flags;
@@ -17,11 +18,17 @@ use leapme::core::pipeline::LeapmeModel;
 use leapme::core::registry::{ModelRegistry, RegistryConfig};
 use leapme::embedding::store::EmbeddingStore;
 use leapme::features::PropertyFeatureStore;
-use leapme::serve::{self, snapshot, Resident, ServeConfig, ServeState};
+use leapme::serve::{self, snapshot, Resident, ServeConfig, ServeState, ServerHandle};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How often the command checks the SIGINT/SIGTERM flag. The server
+/// answers requests on its own threads meanwhile, so this only sets how
+/// soon a signal starts the drain.
+const SIGNAL_POLL: Duration = Duration::from_millis(20);
 
 /// Flags this command reads; [`crate::run`] rejects any other.
 pub const FLAGS: &[&str] = &[
@@ -115,8 +122,7 @@ pub fn run(flags: &Flags) -> Result<String, CliError> {
             model, embeddings, dataset, store, journal, config,
         )),
     };
-    let handle = serve::start(Arc::clone(&state), Some(crate::interrupted_flag()))
-        .map_err(CliError::Io)?;
+    let handle = serve::start(Arc::clone(&state)).map_err(CliError::Io)?;
 
     // The readiness line goes out before we block: scripts (and the
     // verify drill) grep it for the port when binding to `:0`.
@@ -127,9 +133,18 @@ pub fn run(flags: &Flags) -> Result<String, CliError> {
         state.config.queue_depth
     );
     let _ = std::io::stdout().flush();
+    drain_on_signal(handle)
+}
 
-    // Blocks until SIGINT/SIGTERM flips the interrupted flag, the
-    // accept loop notices, closes the queue, and the workers drain.
+/// Block until SIGINT/SIGTERM flips the interrupted flag, then drain the
+/// server and report: `Ok` when every admitted request was honored,
+/// [`CliError::Cancelled`] (exit 3) when the drain dropped any.
+fn drain_on_signal(handle: ServerHandle) -> Result<String, CliError> {
+    let interrupted = crate::interrupted_flag();
+    while !interrupted.load(Ordering::SeqCst) {
+        std::thread::sleep(SIGNAL_POLL);
+    }
+    handle.shutdown();
     let report = handle.join();
     let summary = to_json(&report, "drain report")?;
     if report.clean {
@@ -211,8 +226,7 @@ fn run_registry(flags: &Flags) -> Result<String, CliError> {
         journal,
         config,
     ));
-    let handle = serve::start(Arc::clone(&state), Some(crate::interrupted_flag()))
-        .map_err(CliError::Io)?;
+    let handle = serve::start(Arc::clone(&state)).map_err(CliError::Io)?;
 
     println!(
         "leapme serve listening on http://{} (registry domains={} workers={} queue={})",
@@ -223,15 +237,5 @@ fn run_registry(flags: &Flags) -> Result<String, CliError> {
     );
     println!("domains: {}", domains.join(", "));
     let _ = std::io::stdout().flush();
-
-    let report = handle.join();
-    let summary = to_json(&report, "drain report")?;
-    if report.clean {
-        Ok(format!("leapme serve drained cleanly\n{summary}"))
-    } else {
-        Err(CliError::Cancelled(format!(
-            "drain dropped {} queued connection(s)\n{summary}",
-            report.dropped_at_shutdown
-        )))
-    }
+    drain_on_signal(handle)
 }

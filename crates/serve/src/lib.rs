@@ -18,7 +18,8 @@
 //!    [`CancelToken`](leapme_core::cancel::CancelToken) deadline
 //!    (`x-leapme-deadline-ms` header); scoring is chunked so expiry
 //!    returns the chunks already finished, flagged degraded.
-//! 4. **Graceful drain** ([`server`]): SIGTERM/SIGINT stops the accept
+//! 4. **Graceful drain** ([`server`]): `ServerHandle::shutdown` (which
+//!    `leapme serve` calls on SIGTERM/SIGINT) wakes and stops the accept
 //!    loop, the queue drains, in-flight requests finish or cancel at
 //!    their deadline, and the shutdown is journaled.
 //!

@@ -1,9 +1,11 @@
 //! The accept loop, panic-isolated worker pool, and graceful drain.
 //!
-//! One accept thread owns the (nonblocking) listener: it polls the
-//! shutdown flag between accepts, sheds with a `503 + Retry-After`
-//! when the bounded queue is full, and on shutdown flips the draining
-//! flag, closes the queue, and drops the listener. A fixed pool of
+//! One accept thread owns the listener and blocks in `accept`, so a new
+//! connection is taken the moment it arrives. It sheds with a
+//! `503 + Retry-After` when the bounded queue is full. A shutdown sets
+//! the flag and wakes the blocked `accept` with a connection of its
+//! own, which the loop answers 503 before it flips the draining flag,
+//! closes the queue, and drops the listener. A fixed pool of
 //! worker threads blocks on the queue (closing it wakes them all),
 //! parses with socket timeouts, runs the handler under `catch_unwind`,
 //! and keeps serving after any panic — a poisoned request never takes
@@ -16,15 +18,16 @@ use crate::state::ServeState;
 use leapme_core::cancel::CancelToken;
 use serde::Serialize;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often the idle accept loop polls the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
+/// How long the accept loop pauses after a failed `accept` (EMFILE,
+/// ECONNABORTED, …), so a failure that persists cannot spin it.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Lingering-close budget for responses sent before the request was
 /// fully read: drain at most this many client bytes…
@@ -82,7 +85,7 @@ struct ShutdownEvent {
 /// A running server. Dropping the handle does *not* stop the server;
 /// call [`ServerHandle::shutdown`] then [`ServerHandle::join`].
 pub struct ServerHandle {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -92,18 +95,23 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// The bound address (useful with `:0` port requests).
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Begin the drain: stop accepting, let in-flight work finish.
+    /// Calling it again is harmless.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Wake the accept thread out of `accept`: it finds the flag set
+        // on this connection, answers it 503 and leaves the loop. Once
+        // the listener is gone the connect is refused, which is fine.
+        let _ = TcpStream::connect(wake_addr(self.addr));
     }
 
     /// Block until the accept thread and every worker have exited,
     /// then report what the drain left behind. Call after
-    /// [`ServerHandle::shutdown`] (or an external flag) fired.
+    /// [`ServerHandle::shutdown`].
     pub fn join(mut self) -> DrainReport {
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
@@ -136,16 +144,24 @@ impl ServerHandle {
     }
 }
 
+/// The address [`ServerHandle::shutdown`] connects to: the bound one,
+/// or loopback of the same family when the server is bound to the
+/// unspecified address (`0.0.0.0` / `[::]`).
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut wake = bound;
+    if bound.ip().is_unspecified() {
+        wake.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    wake
+}
+
 /// Bind, spawn the accept thread and worker pool, and return a handle.
-///
-/// `external_shutdown` (e.g. the CLI's SIGINT/SIGTERM flag) is polled
-/// alongside the handle's own flag; either one starts the drain.
-pub fn start(
-    state: Arc<ServeState>,
-    external_shutdown: Option<&'static AtomicBool>,
-) -> io::Result<ServerHandle> {
+/// The server runs until [`ServerHandle::shutdown`] starts the drain.
+pub fn start(state: Arc<ServeState>) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&state.config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     state.journal_event(&LifecycleEvent {
@@ -164,7 +180,7 @@ pub fn start(
         let queue = Arc::clone(&queue);
         std::thread::Builder::new()
             .name("serve-accept".into())
-            .spawn(move || accept_loop(listener, state, queue, shutdown, external_shutdown))?
+            .spawn(move || accept_loop(listener, state, queue, shutdown))?
     };
 
     let mut workers = Vec::with_capacity(state.config.workers);
@@ -200,21 +216,16 @@ fn injected_accept_fault() -> bool {
     false
 }
 
-/// Accept until a shutdown flag fires, then flip draining, close the
+/// Accept until the shutdown flag is set, then flip draining, close the
 /// queue, and let the listener drop (new connections get RST/refused).
 fn accept_loop(
     listener: TcpListener,
     state: Arc<ServeState>,
     queue: Arc<Bounded<Job>>,
     shutdown: Arc<AtomicBool>,
-    external: Option<&'static AtomicBool>,
 ) {
-    let stop = |shutdown: &AtomicBool| {
-        shutdown.load(Ordering::SeqCst)
-            || external.is_some_and(|f| f.load(Ordering::SeqCst))
-    };
     loop {
-        if stop(&shutdown) {
+        if shutdown.load(Ordering::SeqCst) {
             break;
         }
         match listener.accept() {
@@ -224,8 +235,9 @@ fn accept_loop(
                     drop(stream); // simulated accept-side failure
                     continue;
                 }
-                if stop(&shutdown) {
-                    // Raced with shutdown: answer honestly, don't admit.
+                if shutdown.load(Ordering::SeqCst) {
+                    // Raced with shutdown, or is its wake: answer
+                    // honestly, don't admit.
                     let _ = stream.set_write_timeout(Some(state.config.io_timeout));
                     let _ = Response::error(503, "draining", "server is shutting down")
                         .write_to(&mut stream);
@@ -242,14 +254,9 @@ fn accept_loop(
                     drain_then_close(&mut stream, LINGER_MAX_BYTES, LINGER_TIMEOUT);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
             Err(_) => {
-                // Transient accept failure (EMFILE, ECONNABORTED, …):
-                // back off briefly rather than spinning.
                 state.metrics.accept_faults.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(POLL_INTERVAL);
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
         }
     }

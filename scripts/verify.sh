@@ -501,6 +501,25 @@ SERVE_PID=""
 # NB: guard the kill — an empty pid would expand to `kill 0` (the whole
 # process group, this script included).
 trap 'if [ -n "${SERVE_PID:-}" ]; then kill "$SERVE_PID" 2>/dev/null || true; fi; rm -rf "$DRILL_DIR"' EXIT
+# SIGTERM the daemon and wait at most 10 s for it to exit; one still
+# running then (a drain that never started) fails the named drill
+# instead of hanging the script. Leaves the exit status in SERVE_RC.
+stop_serve() {
+    local drill="$1"
+    kill -TERM "$SERVE_PID"
+    for _ in $(seq 1 100); do
+        kill -0 "$SERVE_PID" 2>/dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "$SERVE_PID" 2>/dev/null; then
+        echo "$drill: daemon still running 10 s after SIGTERM" >&2
+        kill -9 "$SERVE_PID" 2>/dev/null || true
+        exit 1
+    fi
+    SERVE_RC=0
+    wait "$SERVE_PID" || SERVE_RC=$?
+    SERVE_PID=""
+}
 "$LEAPME" serve \
     --model "$DRILL_DIR/ref.lmp" --dataset "$DRILL_DIR/ds.json" \
     --embeddings "$DRILL_DIR/emb.txt" --addr 127.0.0.1:0 \
@@ -583,10 +602,7 @@ print(f"    {len(match_bodies)} identical /match responses"
       f" ({len(match_bodies[0])} bytes), torn request absorbed")
 EOF
 
-kill -TERM "$SERVE_PID"
-SERVE_RC=0
-wait "$SERVE_PID" || SERVE_RC=$?
-SERVE_PID=""
+stop_serve "serve drill"
 if [ "$SERVE_RC" -ne 0 ]; then
     echo "serve drill: daemon exited $SERVE_RC after SIGTERM (want 0)" >&2
     cat "$DRILL_DIR/serve.out" >&2
@@ -723,9 +739,7 @@ if ! cmp -s "$SNAP" "$DRILL_DIR/resident.snap.before"; then
     echo "snapshot drill: recovery modified the snapshot file" >&2
     exit 1
 fi
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID" || true
-SERVE_PID=""
+stop_serve "snapshot drill"
 echo "    restart recovered generation 1; snapshot bytes unchanged"
 
 echo "==> registry drill: inspect verifies every section, corrupt slab caught, heals on restore"
@@ -930,10 +944,7 @@ if ! grep -q '"event":"reload"' "$DRILL_DIR/regserve.journal"; then
     echo "registry hot-swap drill: journal has no reload record" >&2
     exit 1
 fi
-kill -TERM "$SERVE_PID"
-SERVE_RC=0
-wait "$SERVE_PID" || SERVE_RC=$?
-SERVE_PID=""
+stop_serve "registry hot-swap drill"
 if [ "$SERVE_RC" -ne 0 ]; then
     echo "registry hot-swap drill: daemon exited $SERVE_RC after SIGTERM (want 0)" >&2
     cat "$DRILL_DIR/regserve.out" >&2

@@ -95,7 +95,7 @@ fn start_server(config: ServeConfig) -> (serve::ServerHandle, Arc<ServeState>) {
         None,
         config,
     ));
-    let handle = serve::start(Arc::clone(&state), None).unwrap();
+    let handle = serve::start(Arc::clone(&state)).unwrap();
     (handle, state)
 }
 
@@ -492,7 +492,7 @@ fn drain_completes_in_flight_requests_and_journals_the_shutdown() {
         Some(journal),
         quick_config(),
     ));
-    let handle = serve::start(Arc::clone(&state), None).unwrap();
+    let handle = serve::start(Arc::clone(&state)).unwrap();
     let addr = handle.addr();
 
     // A client whose request is mid-flight when the drain starts.
@@ -545,6 +545,33 @@ fn drain_completes_in_flight_requests_and_journals_the_shutdown() {
     assert!(journaled.contains("serve.start"), "startup journaled");
     assert!(journaled.contains("serve.shutdown"), "shutdown journaled");
     assert!(journaled.contains("\"clean\":true"));
+}
+
+/// A server that never saw a connection drains at once: `shutdown`
+/// wakes the accept thread out of `accept` with a connection of its
+/// own, made through loopback when the server is bound to the
+/// unspecified address. Calling `shutdown` twice is harmless.
+#[test]
+fn idle_server_drains_promptly_on_either_bind_address() {
+    let _g = serial();
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let (handle, _state) = start_server(ServeConfig {
+            addr: addr.to_string(),
+            ..quick_config()
+        });
+        // A lost wake must fail the test, not hang the suite.
+        let (done, drained) = std::sync::mpsc::channel();
+        let drainer = std::thread::spawn(move || {
+            handle.shutdown();
+            handle.shutdown();
+            let _ = done.send(handle.join());
+        });
+        let report = drained
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("server bound to {addr} did not drain within 2 s"));
+        drainer.join().unwrap();
+        assert!(report.clean, "bound to {addr}: {report:?}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -689,12 +716,9 @@ fn kept_alive_exchanges_do_not_wait_for_delayed_acks() {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    // The first exchange also waits out the accept loop's poll; it
-    // opens the conversation and is not timed.
-    assert_eq!(status_of(&exchange(&mut stream, raw.as_bytes())), 200);
 
     let mut slow = Vec::new();
-    for i in 0..20 {
+    for i in 0..21 {
         let started = Instant::now();
         let response = exchange(&mut stream, raw.as_bytes());
         let ms = started.elapsed().as_secs_f64() * 1e3;
@@ -704,6 +728,35 @@ fn kept_alive_exchanges_do_not_wait_for_delayed_acks() {
         }
     }
     assert!(slow.is_empty(), "exchanges of 20 ms or more: {slow:?}");
+
+    handle.shutdown();
+    assert!(handle.join().clean);
+}
+
+/// A fresh connection is served as soon as it arrives: the accept
+/// thread blocks in `accept`, so a connection made right after the
+/// previous one was taken does not wait for the loop to come round.
+#[test]
+fn back_to_back_fresh_connections_do_not_wait_for_the_accept_loop() {
+    let _g = serial();
+    let (handle, _state) = start_server(quick_config());
+    let (dataset, _, _) = fixture();
+    let (_, body) = score_body(dataset, 8);
+
+    // Each exchange is timed from connect to EOF.
+    let mut ms: Vec<f64> = (0..21)
+        .map(|i| {
+            let started = Instant::now();
+            let response = request(handle.addr(), "POST", "/score", &body);
+            assert_eq!(status_of(&response), 200, "exchange {i}: {response}");
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    assert!(
+        ms[ms.len() / 2] < 5.0,
+        "median fresh-connection exchange of 5 ms or more: {ms:.2?}"
+    );
 
     handle.shutdown();
     assert!(handle.join().clean);

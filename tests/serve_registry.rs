@@ -90,7 +90,7 @@ fn start_server_over(root: &Path) -> (serve::ServerHandle, Arc<ServeState>) {
         ..ServeConfig::default()
     };
     let state = Arc::new(ServeState::with_registry(Arc::new(registry), None, config));
-    let handle = serve::start(Arc::clone(&state), None).unwrap();
+    let handle = serve::start(Arc::clone(&state)).unwrap();
     (handle, state)
 }
 
@@ -399,7 +399,7 @@ fn single_mode_rejects_selectors_and_reload() {
         None,
         config,
     ));
-    let handle = serve::start(Arc::clone(&state), None).unwrap();
+    let handle = serve::start(Arc::clone(&state)).unwrap();
     let addr = handle.addr();
 
     let resp = request(addr, "POST", "/score", &score_body(&dataset, 2, Some("tvs")));

@@ -210,6 +210,77 @@ mod tests {
     }
 
     #[test]
+    fn upgrade_migrates_a_v1_model() {
+        use leapme::core::pipeline::{Leapme, LeapmeConfig, ModelOpenPath};
+        use leapme::core::sampling;
+        use leapme::data::model::SourceId;
+        use leapme::nn::network::TrainConfig;
+        use leapme::nn::schedule::LrSchedule;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let dataset = generate(Domain::Tvs, 7);
+        let store = PropertyFeatureStore::build(&dataset, &EmbeddingStore::new(8));
+        let sources: Vec<SourceId> = (0..4).map(SourceId).collect();
+        let train = sampling::training_pairs(&dataset, &sources, 2, &mut StdRng::seed_from_u64(7));
+        let cfg = LeapmeConfig {
+            train: TrainConfig {
+                schedule: LrSchedule::new(vec![(4, 1e-3)]),
+                ..TrainConfig::default()
+            },
+            hidden: vec![8],
+            ..LeapmeConfig::default()
+        };
+        let model = Leapme::fit(&store, &train, &cfg).unwrap();
+        let v1 = tmp("up_v1.lmp");
+        let v2 = tmp("up_v2.lmp");
+        let upgraded = tmp("up_upgraded.lmp");
+        model.save_v1(&v1).unwrap();
+        model.save(&v2).unwrap();
+
+        let msg = run(&Flags::from_pairs(&[
+            ("upgrade", v1.to_str().unwrap()),
+            ("out", upgraded.to_str().unwrap()),
+        ]))
+        .unwrap();
+        assert!(msg.contains("upgraded model"), "{msg}");
+        assert!(msg.contains("legacy-v1"), "{msg}");
+
+        // The v1 file takes the legacy parse, the saved and the migrated
+        // v2 files a zero-copy open, and all three score every candidate
+        // pair to the bit.
+        let pairs = sampling::test_pairs(&dataset, &[]);
+        let bits = |path: &Path| {
+            let (loaded, open_path) = LeapmeModel::load_with_report(path).unwrap();
+            let scores = loaded.score_pairs(&store, &pairs).unwrap();
+            (
+                open_path,
+                scores.iter().map(|s| s.to_bits()).collect::<Vec<u32>>(),
+            )
+        };
+        let (v1_path, v1_bits) = bits(&v1);
+        assert_eq!(v1_path, ModelOpenPath::LegacyV1);
+        assert_eq!(v1_bits.len(), pairs.len());
+        for path in [&v2, &upgraded] {
+            let (open_path, scores) = bits(path);
+            assert!(
+                matches!(open_path, ModelOpenPath::Mmap | ModelOpenPath::Read),
+                "{}: opened via {}",
+                path.display(),
+                open_path.label()
+            );
+            assert!(
+                scores == v1_bits,
+                "{} scores differ from the v1 file's",
+                path.display()
+            );
+        }
+        for p in [v1, v2, upgraded] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
     fn upgrade_rejects_garbage_and_wrong_kinds() {
         let garbage = tmp("up_garbage.bin");
         std::fs::write(&garbage, b"short").unwrap();

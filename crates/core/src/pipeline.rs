@@ -285,9 +285,9 @@ impl LeapmeModel {
         Ok(())
     }
 
-    /// Persist in the legacy v1 (parse-on-load) container layout. Kept
-    /// for migration testing and the open-time benchmark baseline;
-    /// [`Self::load`] reads both layouts.
+    /// Persist in the legacy v1 (parse-on-load) container layout. Its
+    /// only caller is the CLI test `upgrade_migrates_a_v1_model`, which
+    /// needs a v1 file to migrate; [`Self::load`] reads both layouts.
     pub fn save_v1(&self, path: &Path) -> Result<(), CoreError> {
         let mut e = Encoder::new();
         checkpoint::encode_mlp(&mut e, &self.net);

@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
 # Full verification gate: release build, test suite, lints, allocation
-# regression, bench-report sanity, durability (kill-and-resume) drill.
+# regression, a short run of each benchmark workload, bench-report
+# sanity, and the durability, serve, continual and registry drills.
 #
 #   scripts/verify.sh
 #
 # Run from anywhere; operates on the repository containing this script.
+# Every report and drill artifact goes to a scratch directory that is
+# removed on exit, so a run leaves the working tree as it found it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+DRILL_DIR="$(mktemp -d)"
+trap 'rm -rf "$DRILL_DIR"' EXIT
 
 echo "==> cargo build --release --workspace"
 # --workspace matters: the repo root is itself a package (the `leapme`
@@ -21,6 +26,26 @@ echo "==> cargo test --manifest-path benchmark/Cargo.toml (its own workspace)"
 # A bare `cargo test` never builds the benchmark, which calls the
 # library API directly.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
+
+echo "==> benchmark: one 3 s run per workload, every correctness gate must pass"
+# Exit 1 means the run finished but a gate failed: faults_disabled,
+# scores_bitwise_equal, drain_clean, end_to_end_complete, or (on
+# serve-keepalive) reloads_succeeded. Exit 2 is a set-up error. The
+# runs' scratch files go to .bench_work/, which git ignores.
+for workload in serve-fresh serve-keepalive; do
+    BENCH_LOG="$DRILL_DIR/benchmark-$workload.log"
+    BENCH_RC=0
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seconds 3 > "$BENCH_LOG" 2>&1 || BENCH_RC=$?
+    if [ "$BENCH_RC" -ne 0 ]; then
+        echo "benchmark: $workload exited $BENCH_RC" >&2
+        grep -v -e '^leapme serve listening' -e '^feature cache hit' "$BENCH_LOG" \
+            | tail -n 40 >&2
+        exit 1
+    fi
+    echo "    $workload:" \
+        "$(grep -E '^(latency_p50_ms|throughput_pairs_per_s) ' "$BENCH_LOG" | tr '\n' ' ')"
+done
 
 echo "==> cargo test -p leapme-nn --features alloc-count (zero-allocation regression)"
 cargo test -p leapme-nn --features alloc-count -q
@@ -60,150 +85,17 @@ for t in 1 4; do
     LEAPME_THREADS=$t cargo test -q -p leapme-core --lib -- blocking index
 done
 
-echo "==> bench smoke run (regenerates BENCH_PR7.json at the baseline corpus size)"
-cargo run --release -p leapme-bench --bin bench -- --sources 12 --out BENCH_PR7.json >/dev/null
-
-echo "==> service latency bench (regenerates BENCH_PR8.json)"
-cargo run --release -p leapme-bench --bin latency -- \
-    --clients 3 --requests 20 --out BENCH_PR8.json >/dev/null
-
-echo "==> continual bench (regenerates BENCH_PR9.json)"
-cargo run --release -p leapme-bench --bin continual -- --out BENCH_PR9.json >/dev/null 2>&1
-
-echo "==> registry bench (regenerates BENCH_PR10.json)"
-cargo run --release -p leapme-bench --bin registry -- --out BENCH_PR10.json >/dev/null 2>&1
-
-echo "==> registry bench: v2 zero-copy open ≥ 10x v1 parse, scores bit-identical, budget held"
-python3 - <<'EOF'
-import json, sys
-with open("BENCH_PR10.json") as f:
-    report = json.load(f)
-if report.get("faults_enabled") is not False:
-    sys.exit("BENCH_PR10.json: faults_enabled is not false — the registry "
-             "bench was built with the fault hooks armed")
-if report.get("scores_bitwise_identical") is not True:
-    sys.exit("BENCH_PR10.json: v1- and v2-loaded models disagree on the "
-             "reference workload — zero-copy changed the numbers")
-po = report.get("pair_open")
-if not isinstance(po, dict):
-    sys.exit("BENCH_PR10.json: pair_open section missing")
-for key in ("model_v1", "model_v2", "cache_v1", "cache_v2"):
-    stats = po.get(key)
-    if not isinstance(stats, dict) or stats.get("min_open_us", 0) <= 0:
-        sys.exit(f"BENCH_PR10.json: pair_open.{key} missing or not positive")
-if po["model_v2"]["open_path"] not in ("mmap", "read"):
-    sys.exit(f"BENCH_PR10.json: v2 model opened via "
-             f"{po['model_v2']['open_path']!r}, not a v2 container path")
-speedup = po.get("pair_open_speedup", 0)
-if speedup < 10:
-    sys.exit(f"BENCH_PR10.json: pair open speedup {speedup:.2f}x — the "
-             "zero-copy gate is ≥ 10x over the v1 parse")
-sweep = report.get("domain_sweep")
-if not isinstance(sweep, list) or not sweep:
-    sys.exit("BENCH_PR10.json: domain_sweep section missing")
-for point in sweep:
-    if point["served"] != point["domains"]:
-        sys.exit(f"BENCH_PR10.json: only {point['served']} of "
-                 f"{point['domains']} domains answered under the budget")
-    if point["domains"] > 1 and point["evictions"] < 1:
-        sys.exit(f"BENCH_PR10.json: {point['domains']} domains under a "
-                 f"{point['budget_domains']}-domain budget saw no evictions "
-                 "— the resident budget never engaged")
-biggest = sweep[-1]
-print(f"    pair open x{speedup:.1f} (v1 "
-      f"{po['cache_v1']['min_open_us'] + po['model_v1']['min_open_us']:.0f}us"
-      f" -> v2 "
-      f"{po['cache_v2']['min_open_us'] + po['model_v2']['min_open_us']:.0f}us,"
-      f" {po['cache_v2']['open_path']}) | scores bit-identical |"
-      f" {biggest['domains']} domains under {biggest['budget_domains']}-domain"
-      f" budget: {biggest['evictions']} evictions, all served")
-EOF
-
-echo "==> continual bench: BENCH_PR9.json records the quality curve, quarantines, decisions"
-python3 - <<'EOF'
-import json, math, sys
-with open("BENCH_PR9.json") as f:
-    report = json.load(f)
-if report.get("faults_enabled") is not False:
-    sys.exit("BENCH_PR9.json: faults_enabled is not false — the continual "
-             "bench was built with the fault hooks armed")
-curve = report.get("quality_over_time")
-if not isinstance(curve, list) or len(curve) != report["epochs"] + 1:
-    sys.exit("BENCH_PR9.json: quality_over_time must have one point per "
-             "epoch plus the initial fit")
-for p in curve:
-    for key in ("epoch", "sources", "f1", "drift_features", "drift_scores",
-                "quarantined", "generation"):
-        if key not in p:
-            sys.exit(f"BENCH_PR9.json: quality point missing {key}")
-    if not math.isfinite(p["f1"]):
-        sys.exit(f"BENCH_PR9.json: epoch {p['epoch']} F1 is not finite")
-if curve[0]["f1"] < 0.5:
-    sys.exit(f"BENCH_PR9.json: epoch-0 F1 {curve[0]['f1']:.4f} — the initial "
-             "fit never learned the base corpus")
-if report["quarantined"] < 1:
-    sys.exit("BENCH_PR9.json: the defective arrivals were never quarantined — "
-             "the validation gate did not engage")
-if report["promotions"] + report["rollbacks"] < 1:
-    sys.exit("BENCH_PR9.json: drift never triggered a champion/challenger "
-             "decision")
-if report["max_drift_features"] <= report["drift_threshold"]:
-    sys.exit("BENCH_PR9.json: recorded feature drift never crossed the PSI "
-             "threshold — the drifting schedule is not drifting")
-last_gen = curve[-1]["generation"]
-if last_gen != report["promotions"]:
-    sys.exit(f"BENCH_PR9.json: final generation {last_gen} disagrees with "
-             f"{report['promotions']} promotion(s) — rollbacks moved the champion")
-print(f"    epoch-0 f1 {curve[0]['f1']:.4f} -> final {report['final_f1']:.4f} |"
-      f" quarantined {report['quarantined']},"
-      f" promotions {report['promotions']}, rollbacks {report['rollbacks']},"
-      f" labels {report['labels_used']} |"
-      f" peak drift {report['max_drift_features']:.3f}"
-      f" (threshold {report['drift_threshold']})")
-EOF
-
-echo "==> latency bench: BENCH_PR8.json records latency, shed rate, disarmed faults"
-python3 - <<'EOF'
-import json, sys
-with open("BENCH_PR8.json") as f:
-    report = json.load(f)
-if report.get("faults_enabled") is not False:
-    sys.exit("BENCH_PR8.json: faults_enabled is not false — the latency "
-             "bench was built with the fault hooks armed")
-steady = report.get("steady")
-if not isinstance(steady, dict):
-    sys.exit("BENCH_PR8.json: steady section missing")
-for key in ("requests", "p50_ms", "p99_ms", "mean_ms", "throughput_rps"):
-    v = steady.get(key)
-    if not isinstance(v, (int, float)) or v <= 0:
-        sys.exit(f"BENCH_PR8.json: steady.{key} missing or not positive")
-if steady["p99_ms"] < steady["p50_ms"]:
-    sys.exit("BENCH_PR8.json: p99 below p50 — percentile math is broken")
-over = report.get("overload")
-if not isinstance(over, dict):
-    sys.exit("BENCH_PR8.json: overload section missing")
-for key in ("attempts", "completed", "shed_responses", "shed_rate"):
-    if key not in over:
-        sys.exit(f"BENCH_PR8.json: overload.{key} missing")
-if over["shed_rate"] <= 0:
-    sys.exit("BENCH_PR8.json: overload recorded no shed responses — "
-             "admission control never engaged under the flood")
-if over["shed_responses"] != over["server_shed_count"]:
-    sys.exit("BENCH_PR8.json: client-observed 503s "
-             f"({over['shed_responses']}) disagree with the server's shed "
-             f"counter ({over['server_shed_count']}) — responses are being "
-             "lost on the wire")
-print(f"    steady p50 {steady['p50_ms']:.1f}ms p99 {steady['p99_ms']:.1f}ms"
-      f" at {steady['throughput_rps']:.0f} req/s |"
-      f" overload shed rate {100 * over['shed_rate']:.0f}%"
-      f" ({over['shed_responses']} of {over['attempts']} attempts)")
-EOF
+echo "==> bench smoke run (BENCH_PR7.json at the baseline corpus size, into a scratch dir)"
+# Run from the repo root: the report's vs-PR6 comparison reads the
+# committed BENCH_PR6.json from the current directory.
+cargo run --release -p leapme-bench --bin bench -- \
+    --sources 12 --out "$DRILL_DIR/BENCH_PR7.json" >/dev/null
 
 echo "==> bench smoke: BENCH_PR7.json parses and records speedups, breakdown, retrieval"
-python3 - <<'EOF'
+python3 - "$DRILL_DIR/BENCH_PR7.json" <<'EOF'
 import json, math, sys
 
-with open("BENCH_PR7.json") as f:
+with open(sys.argv[1]) as f:
     report = json.load(f)
 
 def finite(v):
@@ -343,18 +235,17 @@ for t in 1 4; do
 done
 
 echo "==> chaos stage: faults compiled out of the release bench"
-for bench_json in BENCH_PR7.json BENCH_PR8.json BENCH_PR9.json BENCH_PR10.json; do
-    if ! grep -q '"faults_enabled": false' "$bench_json"; then
-        echo "$bench_json does not record faults_enabled=false — the bench" \
-             "binary was built with the fault hooks armed" >&2
-        exit 1
-    fi
-done
+# The benchmark runs above check the same for `leapme serve` (their
+# faults_disabled gate), and the drills below run a `leapme` built
+# without the `faults` feature.
+if ! grep -q '"faults_enabled": false' "$DRILL_DIR/BENCH_PR7.json"; then
+    echo "BENCH_PR7.json does not record faults_enabled=false — the bench" \
+         "binary was built with the fault hooks armed" >&2
+    exit 1
+fi
 
 echo "==> durability drill: SIGKILL mid-training, resume, bitwise-identical model"
 LEAPME="./target/release/leapme"
-DRILL_DIR="$(mktemp -d)"
-trap 'rm -rf "$DRILL_DIR"' EXIT
 
 "$LEAPME" generate --domain tvs --seed 7 --out "$DRILL_DIR/ds.json" >/dev/null
 "$LEAPME" embed --domains tvs --dim 8 --epochs 2 --seed 7 \
@@ -619,11 +510,13 @@ if ! grep -q '"event":"serve.shutdown"' "$DRILL_DIR/serve.journal"; then
 fi
 
 echo "==> continual drill: drifting schedule, quarantine, gated refit, journaled rollback"
-# The same deterministic scenario BENCH_PR9.json records: every third
-# arrival is defective (the gate must quarantine it), drift crosses the
-# PSI threshold (refits must trigger), and at least one challenger
-# regresses (the holdout gate must roll it back) — all journaled.
-CONT_FLAGS="--properties 220 --epochs 3 --sources-per-epoch 2 \
+# A deterministic drifting scenario: every third arrival is defective
+# (the gate must quarantine it), drift crosses the PSI threshold (with
+# no forced refit, a refit-start shows it did), and at least one
+# challenger regresses (the holdout gate must roll it back) — all
+# journaled.
+CONT_EPOCHS=3
+CONT_FLAGS="--properties 220 --epochs $CONT_EPOCHS --sources-per-epoch 2 \
     --properties-per-source 25 --naming-drift 0.3 --value-drift 0.4 \
     --corrupt-every 3 --label-budget 48 --seed 42"
 # shellcheck disable=SC2086
@@ -641,6 +534,30 @@ for event in quarantine refit-start rollback; do
         exit 1
     fi
 done
+# The report's quality curve: one point per epoch plus the initial fit,
+# every F1 finite, a base fit that learned, and a final champion
+# generation that only promotions moved.
+python3 - "$DRILL_DIR/continual.json" "$CONT_EPOCHS" <<'EOF'
+import json, math, sys
+with open(sys.argv[1]) as f:
+    report = json.load(f)
+epochs = int(sys.argv[2])
+points = report["points"]
+if len(points) != epochs + 1:
+    sys.exit(f"continual drill: {len(points)} curve points for {epochs} epochs — "
+             "want one per epoch plus the initial fit")
+for p in points:
+    # serde_json writes a non-finite f64 as null.
+    if not isinstance(p["f1"], (int, float)) or not math.isfinite(p["f1"]):
+        sys.exit(f"continual drill: epoch {p['epoch']} F1 is {p['f1']!r}, not finite")
+if points[0]["f1"] < 0.5:
+    sys.exit(f"continual drill: epoch-0 F1 {points[0]['f1']:.4f} — the initial "
+             "fit never learned the base corpus")
+if points[-1]["generation"] != report["promotions"]:
+    sys.exit(f"continual drill: final generation {points[-1]['generation']} "
+             f"disagrees with {report['promotions']} promotion(s) — rollbacks "
+             "moved the champion")
+EOF
 sed -n 's/^\(quarantined=.*\)$/    \1/p' "$DRILL_DIR/continual.out"
 
 # Crash-resume: a run stopped after epoch 2 and resumed over the same

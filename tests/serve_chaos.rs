@@ -468,6 +468,90 @@ fn overload_sheds_with_503_and_retry_after_not_memory() {
     assert!(handle.join().clean);
 }
 
+/// Every connection the server sheds reads its 503, even one whose whole
+/// `/score` request is still unread when the server answers: the shed
+/// path's lingering close (DESIGN.md §13) ends the exchange with an
+/// orderly close, not a reset that could destroy the reply.
+#[test]
+fn every_shed_reaches_a_client_that_sent_its_request() {
+    use std::sync::atomic::Ordering::Relaxed;
+    const BURST: usize = 8;
+
+    let _g = serial();
+    let mut config = quick_config();
+    config.workers = 1;
+    config.queue_depth = 2;
+    // Long enough that no held connection times out during the burst.
+    config.io_timeout = Duration::from_secs(30);
+    let (handle, state) = start_server(config);
+    let addr = handle.addr();
+    let (dataset, _, _) = fixture();
+    let (_, body) = score_body(dataset, 64);
+    let raw = format!(
+        "POST /score HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+
+    // Hold the one worker: once a kept-alive exchange is answered, the
+    // worker owns this connection and waits on it for the next request.
+    let mut worker_hold = TcpStream::connect(addr).unwrap();
+    worker_hold
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let first = exchange(
+        &mut worker_hold,
+        b"GET /healthz HTTP/1.1\r\nhost: test\r\nconnection: keep-alive\r\ncontent-length: 0\r\n\r\n",
+    );
+    assert_eq!(status_of(&first), 200);
+    // Fill both queue slots. `accept` takes connections in the order
+    // they were made, so these two are queued before the burst arrives.
+    let queue_holds: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+
+    let burst: Vec<TcpStream> = (0..BURST)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            stream.write_all(raw.as_bytes()).unwrap();
+            stream
+        })
+        .collect();
+    for (i, mut stream) in burst.into_iter().enumerate() {
+        let mut out = String::new();
+        let read = stream.read_to_string(&mut out);
+        assert!(
+            read.is_ok(),
+            "burst connection {i} ended in {read:?} after {out:?}"
+        );
+        assert_eq!(status_of(&out), 503, "burst connection {i}: {out}");
+        assert!(out.contains("retry-after:"), "burst connection {i}: {out}");
+        assert!(
+            body_of(&out).contains("overloaded"),
+            "burst connection {i}: {out}"
+        );
+    }
+    assert_eq!(
+        state.metrics.shed.load(Relaxed),
+        BURST as u64,
+        "the server counts exactly the sheds its clients read"
+    );
+
+    // Close the holds. The worker counts a never-used connection as a
+    // disconnect when it takes it off the queue, so two disconnects mean
+    // a queue slot is free again and service resumes.
+    drop(worker_hold);
+    drop(queue_holds);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while state.metrics.disconnects.load(Relaxed) < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(state.metrics.disconnects.load(Relaxed) >= 2);
+    assert_eq!(status_of(&request(addr, "GET", "/healthz", "")), 200);
+    handle.shutdown();
+    assert!(handle.join().clean);
+}
+
 // ---------------------------------------------------------------------
 // graceful drain
 // ---------------------------------------------------------------------

@@ -5,8 +5,8 @@
 //!
 //! * `--dir <root>` faults every domain in and prints one line per
 //!   domain (open path, resident bytes, open latency, feature-store
-//!   source) plus the aggregate stats the server would report under
-//!   `/metrics` → `registry`.
+//!   source, name-distance table entries) plus the aggregate stats the
+//!   server would report under `/metrics` → `registry`.
 //! * `--upgrade <in> --out <out>` rewrites a v1 `.lmp` model, `.lfc`
 //!   feature cache, or resident snapshot as a v2 section container.
 //!   Loading goes through the normal typed-validation path, so a
@@ -47,9 +47,10 @@ pub fn run(flags: &Flags) -> Result<String, CliError> {
 /// Inspect is also the integrity sweep: the serve path defers payload
 /// checksums on zero-copy sections (that is what makes fault-in O(1)),
 /// so this command re-opens every domain artifact and forces the full
-/// per-section CRC walk — a corrupted slab that a resident server would
-/// happily map fails *here*, typed, which is what the verify.sh
-/// corrupt-section drill leans on.
+/// per-section CRC walk — a corrupted slab or name-distance table that
+/// a resident server would happily map fails *here*, typed, which is
+/// what the verify.sh corrupt-section drill leans on. The table is also
+/// joined to the store's names, which checks its length.
 fn inspect(dir: &str) -> Result<String, CliError> {
     let registry = ModelRegistry::open(Path::new(dir), RegistryConfig::default())
         .map_err(|e| CliError::Pipeline(format!("{dir}: {e}")))?;
@@ -59,15 +60,24 @@ fn inspect(dir: &str) -> Result<String, CliError> {
             .get(&name)
             .map_err(|e| CliError::Pipeline(format!("domain {name}: {e}")))?;
         let verified = verify_domain_artifacts(Path::new(dir), &name)?;
+        domain
+            .store
+            .join_pair_table()
+            .map_err(|e| CliError::Pipeline(format!("domain {name}: features.lfc: {e}")))?;
         let _ = writeln!(
             out,
-            "{name}: open={} store={} bytes={} open_ms={} properties={} sources={} verified={verified}",
+            "{name}: open={} store={} bytes={} open_ms={} properties={} sources={} \
+             pair_table={} verified={verified}",
             domain.model_open_path.label(),
             domain.store_source,
             domain.bytes,
             domain.open_ms,
             domain.store.len(),
             domain.sources,
+            domain
+                .store
+                .pair_table_stats()
+                .map_or(0, |(_, entries, _)| entries),
         );
     }
     let stats = to_json_pretty(&registry.stats(), "registry stats")?;
@@ -195,8 +205,19 @@ mod tests {
         assert!(msg.contains("upgraded feature cache"), "{msg}");
         assert!(msg.contains("legacy-v1"), "{msg}");
 
-        // The migrated file opens on the zero-copy path and carries the
-        // same fingerprint and vectors.
+        // The migrated file opens on the zero-copy path, carries the
+        // same fingerprint and vectors, and gains the name-distance
+        // table the v1 file lacked.
+        let sections: Vec<String> =
+            leapme::nn::container2::V2Container::open(&v2, KIND_FEATURE_CACHE)
+                .unwrap()
+                .sections()
+                .map(|s| s.name.to_string())
+                .collect();
+        assert_eq!(
+            sections,
+            ["meta", "keys", "vectors", feature_cache::PAIR_TABLE_SECTION]
+        );
         let (back, back_fp, source) = feature_cache::load_resident(&v2).unwrap();
         assert_ne!(source, "legacy-v1");
         assert_eq!(back_fp.dataset, fp.dataset);

@@ -16,16 +16,21 @@
 //! and [`load_or_build`] falls back to a clean rebuild (then rewrites the
 //! cache). The store caches *full* property vectors — feature
 //! configurations are masks applied downstream, so one cache serves all
-//! nine paper configurations.
+//! nine paper configurations. Next to them it keeps the store's
+//! name-distance table: the eight string distances of every pair of
+//! canonical name forms, which depend on the names alone, so a store
+//! opened from the cache scores its first request without running a
+//! distance kernel.
 
 use crate::CoreError;
 use leapme_data::model::{Dataset, PropertyKey, SourceId};
 use leapme_embedding::store::EmbeddingStore;
-use leapme_features::{CancelCheck, PropertyFeatureStore, SanitizeStats};
+use leapme_features::pair::STRING_FEATURES;
+use leapme_features::{CancelCheck, DeferredCache, PropertyFeatureStore, SanitizeStats, SharedF32};
 use leapme_nn::checkpoint::{
     self, crc64, CheckpointError, Decoder, Encoder, KIND_FEATURE_CACHE,
 };
-use leapme_nn::container2::{self, Opened, V2Container, V2Writer};
+use leapme_nn::container2::{self, F32Section, Opened, V2Container, V2Writer};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -204,16 +209,25 @@ impl CacheStatus {
     }
 }
 
+/// The v2 section holding the store's name-distance table.
+pub const PAIR_TABLE_SECTION: &str = "pair_table";
+
 /// Persist `store` to `path` under `fp`, atomically, in the v2 section
 /// container: a `meta` section (fingerprint + sanitize stats + count),
-/// a `keys` section (sorted property keys), and a `vectors` section —
-/// one contiguous f32 slab, row per property in key order — that loads
-/// back as a zero-copy view.
+/// a `keys` section (sorted property keys), a `vectors` section — one
+/// contiguous f32 slab, row per property in key order — and a
+/// [`PAIR_TABLE_SECTION`] with the store's canonical-form name-distance
+/// table ([`PropertyFeatureStore::pair_table_slab`], built here if the
+/// store has none). Both slabs load back as zero-copy views. A store
+/// whose table would exceed the pair-table cap gets no table section.
 pub fn save(
     path: &Path,
     store: &PropertyFeatureStore,
     fp: &FeatureFingerprint,
 ) -> Result<(), CheckpointError> {
+    let table = store
+        .pair_table_slab()
+        .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
     // Sort keys so the byte stream (and thus the section CRCs) is
     // deterministic across runs and hash-map orders.
     let mut entries: Vec<(&PropertyKey, &[f32])> = store.iter().collect();
@@ -240,6 +254,9 @@ pub fn save(
     w.bytes("meta", &meta.finish());
     w.bytes("keys", &keys.finish());
     w.f32s("vectors", &vectors);
+    if let Some(table) = table {
+        w.f32s(PAIR_TABLE_SECTION, table);
+    }
     w.write(path)
 }
 
@@ -315,9 +332,15 @@ pub fn load(
             // here as a typed error — and trigger the rebuild — rather
             // than score silently wrong. The resident path
             // (`load_resident`) stays lazy and leans on the explicit
-            // `registry --dir` sweep instead.
+            // `registry --dir` sweep instead. The same holds for the
+            // name-distance table's fit to the names: joined here, on
+            // first lookup there.
             c.verify_all()?;
-            load_v2(&c, Some(expected)).map(|(s, _)| s)
+            let (store, _) = load_v2(&c, Some(expected))?;
+            store
+                .join_pair_table()
+                .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+            Ok(store)
         }
     }
 }
@@ -430,19 +453,22 @@ fn validate_keys(bytes: &[u8], count: usize) -> Result<(), CheckpointError> {
 }
 
 /// Decode a v2 cache: fingerprint from the `meta` section (gated on
-/// `expected` before the key table or slab are touched), keys from
-/// `keys`, and the vector slab as a zero-copy [`F32Section`] view —
-/// the store's rows alias the mapped file for its whole lifetime.
+/// `expected` before the key table or slabs are touched), keys from
+/// `keys`, and the vector slab and name-distance table as zero-copy
+/// [`F32Section`] views — the store's rows and table alias the mapped
+/// file for its whole lifetime.
 ///
 /// The open is O(1) in the property count: the key table is *validated*
 /// here (one allocation-free walk over CRC-checked bytes) but only
 /// *decoded* — per-key strings, the row-index map — on the store's
-/// first keyed access. The slab view skips its payload checksum
-/// entirely ([`V2Container::f32_section_lazy`]); `leapme registry
-/// --dir` and the verify.sh corruption drill run the explicit
-/// [`V2Container::verify_all`] sweep that covers it.
-///
-/// [`F32Section`]: container2::F32Section
+/// first keyed access, and the table is joined to the names on the
+/// first name-distance lookup. The table's shape is checked here
+/// against the section table alone: a whole triangle of entries over
+/// at most one canonical name form per property. The slab views skip
+/// their payload checksums entirely
+/// ([`V2Container::f32_section_lazy`]); `leapme registry --dir` and the
+/// verify.sh corruption drill run the explicit
+/// [`V2Container::verify_all`] sweep that covers them.
 fn load_v2(
     c: &Arc<V2Container>,
     expected: Option<&FeatureFingerprint>,
@@ -467,34 +493,92 @@ fn load_v2(
     validate_keys(c.section_bytes("keys")?, count)?;
 
     let slab = c.f32_section_lazy("vectors")?;
-    let decoder = Arc::clone(c);
-    let decode_keys = Box::new(move || {
-        // Infallible by construction: the section bytes were CRC-checked
-        // and shape-validated above, and the container (hence the
-        // mapping) lives inside this closure.
-        let bytes = decoder
-            .section_bytes("keys")
-            .expect("keys section validated at open");
-        let mut d = Decoder::new(bytes);
-        let mut keys = Vec::with_capacity(count);
-        for _ in 0..count {
-            let source = d.u32().expect("validated") as u16;
-            let name_len = d.u64().expect("validated") as usize;
-            let name = std::str::from_utf8(d.raw(name_len).expect("validated"))
-                .expect("validated");
-            keys.push(PropertyKey::new(SourceId(source), name));
+    let pair_table = if c.sections().any(|s| s.name == PAIR_TABLE_SECTION) {
+        let table = c.f32_section_lazy(PAIR_TABLE_SECTION)?;
+        let floats = table.as_ref().len();
+        match table_forms(floats) {
+            Some(forms) if forms <= count => {}
+            _ => {
+                return Err(CheckpointError::Malformed(format!(
+                    "{PAIR_TABLE_SECTION} section holds {floats} floats: not a triangle of \
+                     {STRING_FEATURES}-float entries over at most {count} name forms"
+                ))
+                .into())
+            }
         }
-        keys
+        Some(table)
+    } else {
+        None
+    };
+    let deferred = Box::new(CacheSections {
+        container: Arc::clone(c),
+        count,
+        pair_table,
     });
     let store = PropertyFeatureStore::from_slab_deferred(
         fp.dim as usize,
         count,
-        decode_keys,
+        deferred,
         Arc::new(slab),
         sanitize,
     )
     .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
     Ok((store, fp))
+}
+
+/// The canonical name-form count `n` of a name-distance table of
+/// `floats` floats, when they make a whole triangle: `n · (n + 1) / 2`
+/// entries of [`STRING_FEATURES`] floats.
+fn table_forms(floats: usize) -> Option<usize> {
+    if !floats.is_multiple_of(STRING_FEATURES) {
+        return None;
+    }
+    let entries = floats / STRING_FEATURES;
+    let tri = |n: usize| n * (n + 1) / 2;
+    let mut n = (2.0 * entries as f64).sqrt() as usize;
+    while tri(n) > entries {
+        n -= 1;
+    }
+    while tri(n + 1) <= entries {
+        n += 1;
+    }
+    (tri(n) == entries).then_some(n)
+}
+
+/// The parts of an open v2 cache its store decodes on first use. Lives
+/// in the one allocation the open makes for them, whether or not the
+/// cache has a table.
+struct CacheSections {
+    container: Arc<V2Container>,
+    count: usize,
+    pair_table: Option<F32Section>,
+}
+
+impl DeferredCache for CacheSections {
+    fn keys(&self) -> Vec<PropertyKey> {
+        // Infallible by construction: the section bytes were CRC-checked
+        // and shape-validated at open, and `container` keeps the
+        // mapping alive.
+        let bytes = self
+            .container
+            .section_bytes("keys")
+            .expect("keys section validated at open");
+        let mut d = Decoder::new(bytes);
+        let mut keys = Vec::with_capacity(self.count);
+        for _ in 0..self.count {
+            let source = d.u32().expect("validated") as u16;
+            let name_len = d.u64().expect("validated") as usize;
+            let name = std::str::from_utf8(d.raw(name_len).expect("validated")).expect("validated");
+            keys.push(PropertyKey::new(SourceId(source), name));
+        }
+        keys
+    }
+
+    fn pair_table(&self) -> Option<SharedF32> {
+        self.pair_table
+            .clone()
+            .map(|table| Arc::new(table) as SharedF32)
+    }
 }
 
 /// Obtain the feature store for `(dataset, embeddings)`: from the cache
@@ -791,6 +875,257 @@ mod tests {
             FeatureCacheError::Stale(Mismatch::Layout { .. })
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Names sharing a normalized form ("Shutter-Speed", "shutter
+    /// speed", "shutterSpeed") next to a larger source: its test pairs
+    /// are few enough next to the forms that scoring a built store stays
+    /// on the memo.
+    fn shared_form_dataset() -> Dataset {
+        let props = [
+            (0u16, "Shutter-Speed", "shutter", "1/250 s"),
+            (1, "shutter speed", "shutter", "1/500 s"),
+            (1, "shutterSpeed", "shutter", "1/1000 s"),
+            (1, "ISO", "iso", "3200"),
+            (1, "price", "price", "1,299.99"),
+            (1, "megapixels", "resolution", "20.1 MP"),
+            (1, "zoom", "zoom", "3x"),
+        ];
+        let mut instances = Vec::new();
+        let mut alignment = BTreeMap::new();
+        for (s, p, u, value) in props {
+            instances.push(Instance {
+                source: SourceId(s),
+                property: p.into(),
+                entity: format!("e{s}"),
+                value: value.into(),
+            });
+            alignment.insert(PropertyKey::new(SourceId(s), p), u.to_string());
+        }
+        Dataset::new("shared", vec!["a".into(), "b".into()], instances, alignment).unwrap()
+    }
+
+    fn tiny_model(ds: &Dataset, emb: &EmbeddingStore) -> crate::pipeline::LeapmeModel {
+        use crate::pipeline::{Leapme, LeapmeConfig};
+        use leapme_nn::network::TrainConfig;
+        use leapme_nn::schedule::LrSchedule;
+        use rand::SeedableRng;
+        let store = PropertyFeatureStore::build(ds, emb);
+        let sources: Vec<SourceId> = (0..ds.sources().len() as u16).map(SourceId).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let train = crate::sampling::training_pairs(ds, &sources, 2, &mut rng);
+        let cfg = LeapmeConfig {
+            train: TrainConfig {
+                schedule: LrSchedule::new(vec![(2, 1e-3)]),
+                ..TrainConfig::default()
+            },
+            hidden: vec![4],
+            ..LeapmeConfig::default()
+        };
+        Leapme::fit(&store, &train, &cfg).unwrap()
+    }
+
+    fn bits(scores: &[f32]) -> Vec<u32> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
+    /// The cache at `from` rewritten to `to` with only the sections
+    /// `keep` names, plus `extra` sections appended.
+    fn rewrite(from: &Path, to: &Path, keep: &[&str], extra: &[(&str, &[f32])]) {
+        let c = V2Container::open(from, KIND_FEATURE_CACHE).unwrap();
+        let mut w = V2Writer::new(KIND_FEATURE_CACHE);
+        for name in keep {
+            match *name {
+                "vectors" => w.f32s(name, &c.section_f32_vec(name).unwrap()),
+                _ => w.bytes(name, c.section_bytes(name).unwrap()),
+            }
+        }
+        for (name, floats) in extra {
+            w.f32s(name, floats);
+        }
+        w.write(to).unwrap();
+    }
+
+    #[test]
+    fn a_cache_with_the_table_scores_test_pairs_like_the_memo() {
+        let ds = shared_form_dataset();
+        let emb = embeddings();
+        let model = tiny_model(&ds, &emb);
+        let pairs = crate::sampling::test_pairs(&ds, &[]);
+        let memo = PropertyFeatureStore::build(&ds, &emb);
+        let want = model.score_pairs(&memo, &pairs).unwrap();
+        assert!(
+            memo.pair_table_stats().is_none(),
+            "the reference scored on the memo"
+        );
+        assert!(memo.string_cache_stats().1 > 0);
+
+        let fp = fingerprint(&ds, &emb);
+        let path = temp_path("table_scores.lfc");
+        save(&path, &PropertyFeatureStore::build(&ds, &emb), &fp).unwrap();
+        let c = V2Container::open(&path, KIND_FEATURE_CACHE).unwrap();
+        let names: Vec<&str> = c.sections().map(|s| s.name).collect();
+        assert_eq!(names, ["meta", "keys", "vectors", PAIR_TABLE_SECTION]);
+
+        let resident = load_resident(&path).unwrap().0;
+        let healed = load(&path, &fp).unwrap();
+        for store in [&resident, &healed] {
+            let got = model.score_pairs(store, &pairs).unwrap();
+            assert_eq!(bits(&got), bits(&want));
+            assert_eq!(store.string_cache_stats(), (0, 0), "no distance kernel ran");
+            let (forms, entries, hits) = store.pair_table_stats().unwrap();
+            // Seven names, five forms: the three shutter spellings share one.
+            assert_eq!((forms, entries), (5, 15));
+            assert_eq!(hits, pairs.len() as u64);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn caches_without_the_table_load_and_score_on_the_memo() {
+        let ds = shared_form_dataset();
+        let emb = embeddings();
+        let model = tiny_model(&ds, &emb);
+        let pairs = crate::sampling::test_pairs(&ds, &[]);
+        let want = model
+            .score_pairs(&PropertyFeatureStore::build(&ds, &emb), &pairs)
+            .unwrap();
+        let fp = fingerprint(&ds, &emb);
+        let store = PropertyFeatureStore::build(&ds, &emb);
+        let (v1, v2, bare) = (
+            temp_path("old_v1.lfc"),
+            temp_path("old_v2.lfc"),
+            temp_path("old_v2_bare.lfc"),
+        );
+        save_v1(&v1, &store, &fp).unwrap();
+        save(&v2, &store, &fp).unwrap();
+        rewrite(&v2, &bare, &["meta", "keys", "vectors"], &[]);
+        for path in [&v1, &bare] {
+            for loaded in [load(path, &fp).unwrap(), load_resident(path).unwrap().0] {
+                let got = model.score_pairs(&loaded, &pairs).unwrap();
+                assert_eq!(bits(&got), bits(&want), "{}", path.display());
+                assert!(loaded.pair_table_stats().is_none(), "{}", path.display());
+                assert!(loaded.string_cache_stats().1 > 0, "{}", path.display());
+            }
+        }
+        for p in [v1, v2, bare] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn a_flipped_table_byte_fails_load_typed_and_heals() {
+        let ds = shared_form_dataset();
+        let emb = embeddings();
+        let fp = fingerprint(&ds, &emb);
+        let path = temp_path("flipped_table.lfc");
+        save(&path, &PropertyFeatureStore::build(&ds, &emb), &fp).unwrap();
+        let table = V2Container::open(&path, KIND_FEATURE_CACHE)
+            .unwrap()
+            .sections()
+            .find(|s| s.name == PAIR_TABLE_SECTION)
+            .map(|s| (s.offset + s.len / 2) as usize)
+            .unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[table] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = load(&path, &fp).err().expect("load must fail");
+        assert!(matches!(
+            err,
+            FeatureCacheError::Checkpoint(CheckpointError::ChecksumMismatch { .. })
+        ));
+        // The resident path maps the table without a checksum pass; the
+        // explicit sweep objects, typed.
+        load_resident(&path).unwrap();
+        let c = V2Container::open(&path, KIND_FEATURE_CACHE).unwrap();
+        assert!(matches!(
+            c.verify_all(),
+            Err(CheckpointError::ChecksumMismatch { .. })
+        ));
+        let (_, status) = load_or_build(Some(&path), &ds, &emb, 1, None).unwrap();
+        assert!(matches!(status, CacheStatus::Rebuilt(_)));
+        assert_eq!(std::fs::read(&path).unwrap().len(), bytes.len());
+        let (_, status) = load_or_build(Some(&path), &ds, &emb, 1, None).unwrap();
+        assert_eq!(status, CacheStatus::Hit);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_table_that_does_not_fit_the_names_is_malformed() {
+        let ds = shared_form_dataset();
+        let emb = embeddings();
+        let fp = fingerprint(&ds, &emb);
+        let good = temp_path("fit_good.lfc");
+        save(&good, &PropertyFeatureStore::build(&ds, &emb), &fp).unwrap();
+        let sections = ["meta", "keys", "vectors"];
+
+        // A whole triangle, but over four forms where the names have five.
+        let short = temp_path("fit_short.lfc");
+        rewrite(
+            &good,
+            &short,
+            &sections,
+            &[(PAIR_TABLE_SECTION, &[0.5; 10 * STRING_FEATURES])],
+        );
+        let err = load(&short, &fp).err().expect("load must fail");
+        assert!(
+            matches!(err, FeatureCacheError::Checkpoint(CheckpointError::Malformed(ref m)) if m.contains("5 canonical")),
+            "{err}"
+        );
+        // The resident open defers the join; the first score reports
+        // it, typed, and no distance kernel stands in for the table.
+        let (store, _, _) = load_resident(&short).unwrap();
+        let model = tiny_model(&ds, &emb);
+        let err = model
+            .score_pairs(&store, &crate::sampling::test_pairs(&ds, &[]))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Feature(leapme_features::vectorizer::FeatureError::MalformedSlab(_))
+            ),
+            "{err}"
+        );
+        assert_eq!(store.string_cache_stats(), (0, 0));
+
+        // Lengths that are no triangle, or more forms than properties,
+        // fail both opens.
+        for (tag, floats) in [
+            ("ragged", 7),
+            ("odd", 2 * STRING_FEATURES),
+            ("wide", 36 * STRING_FEATURES),
+        ] {
+            let path = temp_path(&format!("fit_{tag}.lfc"));
+            rewrite(
+                &good,
+                &path,
+                &sections,
+                &[(PAIR_TABLE_SECTION, &vec![0.5; floats])],
+            );
+            for err in [load(&path, &fp).err(), load_resident(&path).err()] {
+                assert!(
+                    matches!(
+                        err,
+                        Some(FeatureCacheError::Checkpoint(CheckpointError::Malformed(_)))
+                    ),
+                    "{tag}: {err:?}"
+                );
+            }
+            std::fs::remove_file(&path).ok();
+        }
+        for p in [good, short] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn table_forms_recognizes_whole_triangles_only() {
+        for n in [0usize, 1, 2, 3, 221, 2000] {
+            assert_eq!(table_forms(n * (n + 1) / 2 * STRING_FEATURES), Some(n));
+        }
+        assert_eq!(table_forms(2 * STRING_FEATURES), None);
+        assert_eq!(table_forms(STRING_FEATURES + 1), None);
     }
 
     #[test]

@@ -106,12 +106,7 @@ pub fn permutation_importance(
     // Materialize the full feature matrix once.
     let mut rows: Vec<Vec<f32>> = Vec::with_capacity(labeled.len());
     for (PropertyPair(a, b), _) in labeled {
-        let row = store.full_pair_vector(a, b).ok_or_else(|| {
-            CoreError::Feature(leapme_features::vectorizer::FeatureError::UnknownProperty(
-                a.clone(),
-            ))
-        })?;
-        rows.push(row);
+        rows.push(store.full_pair_vector(a, b)?);
     }
     let gt: std::collections::BTreeSet<&PropertyPair> = labeled
         .iter()

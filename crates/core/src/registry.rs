@@ -27,11 +27,13 @@
 //!
 //! A resident domain does not hold its parsed dataset: scoring needs
 //! only the source count, and the feature cache is checked against the
-//! dataset's fingerprint. Each domain keeps a digest of its last parse
-//! across evictions, so a fault-in over an unchanged
-//! `dataset.json` costs one streamed CRC-64 instead of a parse.
-//! [`Domain::dataset`] parses on demand for the callers that need the
-//! whole dataset (`/match`).
+//! dataset's fingerprint. Each domain keeps a digest of its last
+//! verified parse across evictions. Re-faulting an evicted domain whose
+//! cache still records that digest's fingerprint reads no byte of
+//! `dataset.json`; a reload streams one CRC-64 over it instead of a
+//! parse, and parses only when the file changed. [`Domain::dataset`]
+//! parses on demand, and verifies, for the callers that need the whole
+//! dataset (`/match`).
 
 use crate::feature_cache;
 use crate::pipeline::{LeapmeModel, ModelOpenPath};
@@ -166,13 +168,17 @@ struct DatasetDigest {
     sources: usize,
 }
 
-/// How [`ModelRegistry::publish`] installs a freshly loaded domain.
-#[derive(Debug, Clone, Copy)]
+/// How a domain is loaded and how [`ModelRegistry::publish`] installs
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Install {
     /// A cold fault-in: installs into an empty slot at the slot's
-    /// generation; a domain published while it loaded wins instead.
+    /// generation; a domain published while it loaded wins instead. A
+    /// re-fault-in trusts the slot's digest when the feature cache
+    /// records its fingerprint.
     FaultIn,
-    /// A hot-swap: replaces the resident domain at the next generation.
+    /// A hot-swap: replaces the resident domain at the next generation,
+    /// after checking `dataset.json` against the slot's digest.
     Reload,
 }
 
@@ -328,7 +334,7 @@ impl ModelRegistry {
         // others get its domain — correctness over cleverness, and the
         // serve layer's single-flight already bounds duplicate match
         // work.
-        let loaded = self.load_domain(name, digest)?;
+        let loaded = self.load_domain(name, digest, Install::FaultIn)?;
         Ok(self.publish(name, loaded, Install::FaultIn))
     }
 
@@ -344,7 +350,7 @@ impl ModelRegistry {
                 .ok_or_else(|| RegistryError::UnknownModel(name.to_string()))?
                 .digest
         };
-        let loaded = self.load_domain(name, digest)?;
+        let loaded = self.load_domain(name, digest, Install::Reload)?;
         Ok(self.publish(name, loaded, Install::Reload))
     }
 
@@ -455,14 +461,19 @@ impl ModelRegistry {
     /// registry lock held; the generation is left at 0 for
     /// [`Self::publish`] to assign.
     ///
-    /// `prior` is the digest of the last parse of the domain's
-    /// `dataset.json`. With a feature cache, a file whose streamed
-    /// CRC-64 still matches it is not parsed again; the fingerprint
-    /// check against the cache runs either way.
+    /// `prior` is the digest of the last verified parse of the domain's
+    /// `dataset.json`. With a feature cache, a re-fault-in
+    /// ([`Install::FaultIn`]) whose cache records `prior`'s fingerprint
+    /// reuses `prior` without reading the file: `/score` needs only the
+    /// source count, and the cache's vectors are those of the verified
+    /// dataset. Otherwise a file whose streamed CRC-64 still matches
+    /// `prior` is not parsed again. The fingerprint check against the
+    /// cache runs either way.
     fn load_domain(
         &self,
         name: &str,
         prior: Option<DatasetDigest>,
+        install: Install,
     ) -> Result<(Domain, DatasetDigest), RegistryError> {
         let dir = self.root.join(name);
         let started = Instant::now();
@@ -473,12 +484,17 @@ impl ModelRegistry {
         let cache_path = dir.join("features.lfc");
         let mut bytes = file_len(&model_path);
         let (store, store_source, digest) = if cache_path.is_file() {
+            let (store, recorded, label) = feature_cache::load_resident(&cache_path)
+                .map_err(|e| invalid_file(name, &cache_path, e))?;
             let digest = match prior {
+                Some(prior)
+                    if install == Install::FaultIn && recorded.dataset == prior.fingerprint =>
+                {
+                    prior
+                }
                 Some(prior) if file_crc64(name, &dataset_path)? == prior.crc => prior,
                 _ => parse_dataset(name, &dataset_path)?.1,
             };
-            let (store, recorded, label) = feature_cache::load_resident(&cache_path)
-                .map_err(|e| invalid_file(name, &cache_path, e))?;
             // The cache carries no embeddings to re-fingerprint against
             // here; the dataset half of the fingerprint is checkable
             // and must match, or the cache belongs to different data.
@@ -731,8 +747,8 @@ mod tests {
             // Both loads finish before either publishes, as two
             // concurrent `/reload`s released together would.
             let mut loads = [
-                Some(reg.load_domain("dom0", None).unwrap()),
-                Some(reg.load_domain("dom0", None).unwrap()),
+                Some(reg.load_domain("dom0", None, Install::Reload).unwrap()),
+                Some(reg.load_domain("dom0", None, Install::Reload).unwrap()),
             ];
             let mut publish =
                 |i: usize| reg.publish("dom0", loads[i].take().unwrap(), Install::Reload);
@@ -754,7 +770,7 @@ mod tests {
         let reg = ModelRegistry::open(&root, RegistryConfig::default()).unwrap();
         // A cold `get` loads, then a `/reload` completes before it
         // publishes.
-        let cold = reg.load_domain("dom0", None).unwrap();
+        let cold = reg.load_domain("dom0", None, Install::FaultIn).unwrap();
         let reloaded = reg.reload("dom0").unwrap();
         assert_eq!(reloaded.generation, 1);
         let got = reg.publish("dom0", cold, Install::FaultIn);
@@ -777,12 +793,19 @@ mod tests {
         )
     }
 
+    /// A same-length edit of `dataset.json` alone is refused by every
+    /// path that reads the file: `dataset()` (hence `/match`) and
+    /// `reload`. A re-fault-in reads no byte of it — its cache still
+    /// records the verified dataset, which is all `/score` needs — so it
+    /// serves the verified data bitwise as before.
     #[test]
-    fn same_length_dataset_edit_is_refused_everywhere_until_restored() {
+    fn same_length_dataset_edit_is_refused_by_every_reader_until_restored() {
         let root = registry_root("stale", 1);
         let reg = ModelRegistry::open(&root, RegistryConfig::default()).unwrap();
         let before = reg.get("dom0").unwrap();
         assert_eq!(before.dataset().unwrap().sources().len(), before.sources);
+        let pairs = sampling::test_pairs(&before.dataset().unwrap(), &[]);
+        let scores = before.model.score_pairs(&before.store, &pairs).unwrap();
 
         // One value byte changes; the file length does not.
         let path = root.join("dom0/dataset.json");
@@ -799,25 +822,114 @@ mod tests {
             "a failed reload leaves the resident generation serving"
         );
         reg.evict("dom0").unwrap();
-        assert!(is_fingerprint_mismatch(reg.get("dom0")), "fault-in");
+        let refaulted = reg.get("dom0").unwrap();
+        assert_eq!(refaulted.generation, 0, "failed loads publish nothing");
+        assert_eq!(refaulted.dataset_fingerprint, before.dataset_fingerprint);
+        let again = refaulted
+            .model
+            .score_pairs(&refaulted.store, &pairs)
+            .unwrap();
+        assert_eq!(
+            again.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            "the re-fault-in scores the verified data"
+        );
+        assert!(
+            is_fingerprint_mismatch(refaulted.dataset()),
+            "dataset() after re-fault"
+        );
+        assert!(
+            is_fingerprint_mismatch(reg.reload("dom0")),
+            "reload after re-fault"
+        );
 
         std::fs::write(&path, &original).unwrap();
-        let back = reg.get("dom0").unwrap();
-        assert_eq!(back.generation, 0, "failed loads publish nothing");
-        assert!(back.dataset().is_ok());
+        assert!(refaulted.dataset().is_ok());
         assert_eq!(reg.reload("dom0").unwrap().generation, 1);
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// A re-faulted domain scores from the cache's name-distance table:
+    /// no distance kernel runs, however cold the store. The tvs domain
+    /// has too many name forms for a 128-pair request to build a table
+    /// of its own, so the hits can only come from the cache.
     #[test]
-    fn changed_dataset_with_a_matching_cache_is_parsed_again() {
-        let root = registry_root("changed", 1);
+    fn a_refaulted_domain_scores_from_the_persisted_table() {
+        let root = std::env::temp_dir().join(format!(
+            "leapme-registry-refault-table-{}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&root).ok();
+        let dir = root.join("tvs");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ds = leapme_data::domains::generate(leapme_data::domains::Domain::Tvs, 4);
+        let emb = EmbeddingStore::new(8);
+        let store = PropertyFeatureStore::build(&ds, &emb);
+        let sources: Vec<SourceId> = (0..ds.sources().len() as u16).map(SourceId).collect();
+        let train = sampling::training_pairs(&ds, &sources, 2, &mut StdRng::seed_from_u64(3));
+        let cfg = LeapmeConfig {
+            train: TrainConfig {
+                schedule: LrSchedule::new(vec![(2, 1e-3)]),
+                ..TrainConfig::default()
+            },
+            hidden: vec![4],
+            ..LeapmeConfig::default()
+        };
+        let model = Leapme::fit(&store, &train, &cfg).unwrap();
+        model.save(&dir.join("model.lmp")).unwrap();
+        std::fs::write(dir.join("dataset.json"), ds.to_json()).unwrap();
+        let fp = feature_cache::fingerprint(&ds, &emb);
+        feature_cache::save(&dir.join("features.lfc"), &store, &fp).unwrap();
+        let pairs: Vec<_> = sampling::test_pairs(&ds, &[])
+            .into_iter()
+            .step_by(7)
+            .take(128)
+            .collect();
+        assert_eq!(pairs.len(), 128);
+        let want = model
+            .score_pairs(&PropertyFeatureStore::build(&ds, &emb), &pairs)
+            .unwrap();
+
+        let reg = ModelRegistry::open(&root, RegistryConfig::default()).unwrap();
+        reg.get("tvs").unwrap();
+        reg.evict("tvs").unwrap();
+        let back = reg.get("tvs").unwrap();
+        let got = back.model.score_pairs(&back.store, &pairs).unwrap();
+        assert_eq!(
+            got.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(back.store.string_cache_stats(), (0, 0));
+        let (forms, entries, hits) = back.store.pair_table_stats().unwrap();
+        assert!(
+            entries > 2 * pairs.len(),
+            "{forms} forms, {entries} entries"
+        );
+        assert_eq!(hits, 128);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn republished_dataset_and_cache_fault_in_without_a_reload() {
+        let root = registry_root("republish", 1);
         let reg = ModelRegistry::open(&root, RegistryConfig::default()).unwrap();
         assert_eq!(reg.get("dom0").unwrap().sources, 2);
+        reg.evict("dom0").unwrap();
 
-        // Republish the domain's data with a third (empty) source and a
-        // cache built for it: the digest no longer matches, so the
-        // reload must parse the new file rather than reuse the count.
+        // Both artifacts change while the domain is evicted: the cache
+        // records a new fingerprint, so the slot's digest cannot stand
+        // in for the file, and the fault-in reads the new source count.
+        let (grown, fp) = republish_with_a_third_source(&root.join("dom0"));
+        let back = reg.get("dom0").unwrap();
+        assert_eq!(back.sources, grown.sources().len());
+        assert_eq!(back.dataset_fingerprint, fp.dataset);
+        assert_eq!(back.generation, 0);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Rewrite `dir`'s dataset with a third (empty) source and a feature
+    /// cache built for it.
+    fn republish_with_a_third_source(dir: &Path) -> (Dataset, feature_cache::FeatureFingerprint) {
         let old = dataset();
         let grown = Dataset::new(
             old.name(),
@@ -828,10 +940,22 @@ mod tests {
         .unwrap();
         let emb = embeddings();
         let store = PropertyFeatureStore::build(&grown, &emb);
-        let dir = root.join("dom0");
         std::fs::write(dir.join("dataset.json"), grown.to_json()).unwrap();
         let fp = feature_cache::fingerprint(&grown, &emb);
         feature_cache::save(&dir.join("features.lfc"), &store, &fp).unwrap();
+        (grown, fp)
+    }
+
+    #[test]
+    fn changed_dataset_with_a_matching_cache_is_parsed_again() {
+        let root = registry_root("changed", 1);
+        let reg = ModelRegistry::open(&root, RegistryConfig::default()).unwrap();
+        assert_eq!(reg.get("dom0").unwrap().sources, 2);
+
+        // Republish the domain's data with a third source: the digest
+        // no longer matches, so the reload must parse the new file
+        // rather than reuse the count.
+        let (_, fp) = republish_with_a_third_source(&root.join("dom0"));
 
         let reloaded = reg.reload("dom0").unwrap();
         assert_eq!(reloaded.sources, 3);

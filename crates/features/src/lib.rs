@@ -38,6 +38,6 @@ pub mod vectorizer;
 pub use config::{FeatureConfig, FeatureKind, FeatureScope};
 pub use scratch::{with_scratch, FeatureScratch};
 pub use vectorizer::{
-    worker_threads, CancelCheck, DegradationReport, PairKeys, PropertyFeatureStore, SanitizeStats,
-    MAX_ABS_FEATURE,
+    worker_threads, CancelCheck, DeferredCache, DegradationReport, PairKeys, PropertyFeatureStore,
+    SanitizeStats, SharedF32, MAX_ABS_FEATURE,
 };

@@ -22,7 +22,9 @@
 //! heavily across sources. Names are interned to dense `u32` ids at
 //! build time, and memoized distances live in sharded reader–writer maps
 //! keyed by `(u32, u32)` — a cache hit costs one shard read-lock and
-//! zero allocations.
+//! zero allocations. A dense table over every canonical name pair
+//! replaces the memo once it is built, or once a feature cache that
+//! persisted it is opened.
 
 use crate::config::FeatureConfig;
 use crate::{instance, pair, property};
@@ -261,24 +263,32 @@ impl StringCache {
 
 /// Upper bound on run-level pair-table entries. Above this the dense
 /// table would cost more memory than the run saves, so
-/// [`PropertyFeatureStore::ensure_pair_table`] declines to build it and
-/// lookups stay on the sharded [`StringCache`].
+/// [`PropertyFeatureStore::ensure_pair_table`] declines to build it,
+/// the feature cache persists none, and lookups stay on the sharded
+/// [`StringCache`].
 const PAIR_TABLE_MAX_ENTRIES: usize = 2_000_000;
+
+/// A shared, read-only run of `f32`s: an owned `Vec` or a view over a
+/// memory-mapped feature-cache section.
+pub type SharedF32 = Arc<dyn AsRef<[f32]> + Send + Sync>;
 
 /// Run-level dense memo of string-distance features over *canonical
 /// normalized name forms*: every unique normalized pair is scored exactly
-/// once per run, after which each lookup is one lock-free, hash-free
-/// triangular-index read. Names that normalize to the same form (e.g.
-/// `"Shutter-Speed"` and `"shutter speed"`) share a canonical id, so
-/// cross-block duplicates collapse before any distance kernel runs.
+/// once per run (or once per feature cache, which persists the table),
+/// after which each lookup is one lock-free, hash-free triangular-index
+/// read. Names that normalize to the same form (e.g. `"Shutter-Speed"`
+/// and `"shutter speed"`) share a canonical id, so cross-block
+/// duplicates collapse before any distance kernel runs.
 struct PairTable {
     /// Name id → canonical normalized-form id.
     canon: Vec<u32>,
     /// Number of canonical forms.
     n: usize,
     /// Upper-triangular (diagonal included) feature table over canonical
-    /// form pairs, `n · (n + 1) / 2` entries long.
-    features: Vec<[f32; pair::STRING_FEATURES]>,
+    /// form pairs: `n · (n + 1) / 2` entries of
+    /// [`pair::STRING_FEATURES`] floats, row-major. Built in memory or
+    /// mapped from a feature cache.
+    features: SharedF32,
 }
 
 impl PairTable {
@@ -292,14 +302,65 @@ impl PairTable {
         i * (2 * self.n - i + 1) / 2 + (j - i)
     }
 
+    fn entries(&self) -> usize {
+        self.n * (self.n + 1) / 2
+    }
+
     /// The memoized features for the pair of interned name ids.
     #[inline]
     fn get(&self, ia: u32, ib: u32) -> [f32; pair::STRING_FEATURES] {
         let ci = self.canon[ia as usize] as usize;
         let cj = self.canon[ib as usize] as usize;
         let (i, j) = if ci <= cj { (ci, cj) } else { (cj, ci) };
-        self.features[self.tri(i, j)]
+        let at = self.tri(i, j) * pair::STRING_FEATURES;
+        let mut out = [0.0; pair::STRING_FEATURES];
+        out.copy_from_slice(&(*self.features).as_ref()[at..at + pair::STRING_FEATURES]);
+        out
     }
+
+    /// Join a persisted table to the names it was written for. The slab
+    /// must hold exactly one entry per canonical form pair of `names`;
+    /// anything else means the cache's sections disagree.
+    fn join(names: &NameTable, features: SharedF32) -> Result<Self, FeatureError> {
+        let forms = canonical_forms(names);
+        let n = forms.len();
+        let want = n * (n + 1) / 2 * pair::STRING_FEATURES;
+        let floats = (*features).as_ref().len();
+        if floats != want {
+            return Err(FeatureError::MalformedSlab(format!(
+                "name-distance table holds {floats} floats; the store's {n} canonical \
+                 name forms need {want}"
+            )));
+        }
+        Ok(PairTable {
+            canon: canon_ids(names, &forms),
+            n,
+            features,
+        })
+    }
+}
+
+/// The distinct normalized name forms, sorted: canonical form `i` is
+/// `forms[i]`, reproducibly across runs and stores.
+fn canonical_forms(names: &NameTable) -> Vec<&str> {
+    let mut forms: Vec<&str> = names.normalized_names.iter().map(String::as_str).collect();
+    forms.sort_unstable();
+    forms.dedup();
+    forms
+}
+
+/// Name id → canonical form id over the sorted `forms`.
+fn canon_ids(names: &NameTable, forms: &[&str]) -> Vec<u32> {
+    let form_id: HashMap<&str, u32> = forms
+        .iter()
+        .enumerate()
+        .map(|(i, &f)| (f, i as u32))
+        .collect();
+    names
+        .normalized_names
+        .iter()
+        .map(|f| form_id[f.as_str()])
+        .collect()
 }
 
 /// Score the canonical-form pairs of rows `row_start..row_end` into
@@ -308,21 +369,36 @@ impl PairTable {
 /// layout; distances go through the same prenormalized kernel as the
 /// sharded cache, so table entries are bitwise identical to cache
 /// entries.
-fn fill_pair_table_rows(
-    forms: &[&str],
-    row_start: usize,
-    row_end: usize,
-    out: &mut [[f32; pair::STRING_FEATURES]],
-) {
+fn fill_pair_table_rows(forms: &[&str], row_start: usize, row_end: usize, out: &mut [f32]) {
     let n = forms.len();
-    let mut k = 0usize;
+    let mut entries = out.chunks_exact_mut(pair::STRING_FEATURES);
     for i in row_start..row_end {
         for j in i..n {
-            out[k] = pair::string_features_prenormalized(forms[i], forms[j]);
-            k += 1;
+            let entry = entries
+                .next()
+                .expect("triangle row range / buffer mismatch");
+            entry.copy_from_slice(&pair::string_features_prenormalized(forms[i], forms[j]));
         }
     }
-    debug_assert_eq!(k, out.len(), "triangle row range / buffer mismatch");
+    debug_assert!(
+        entries.next().is_none(),
+        "triangle row range / buffer mismatch"
+    );
+}
+
+/// What a zero-copy feature-cache open leaves for the store to decode
+/// on first use, so the open allocates nothing per property: the key
+/// table, and the persisted name-distance table when the cache has one.
+pub trait DeferredCache: Send + Sync {
+    /// Row `i`'s key, for every row. Must yield exactly the store's row
+    /// count of distinct keys — the cache loader validates the raw key
+    /// table before constructing the store.
+    fn keys(&self) -> Vec<PropertyKey>;
+
+    /// The persisted canonical-form name-distance table (the slab
+    /// [`PropertyFeatureStore::pair_table_slab`] returns), or `None`
+    /// when the cache holds none.
+    fn pair_table(&self) -> Option<SharedF32>;
 }
 
 /// Backing storage for the per-property feature vectors: either an
@@ -333,19 +409,12 @@ fn fill_pair_table_rows(
 enum Rows {
     Owned(HashMap<PropertyKey, Vec<f32>>),
     Slab {
-        /// Key → row index, built on first keyed access. The eager
-        /// constructor ([`PropertyFeatureStore::from_slab`]) fills it up
-        /// front; the deferred one
-        /// ([`PropertyFeatureStore::from_slab_deferred`]) leaves it to
-        /// `decode_keys`, so a zero-copy cache open allocates nothing
-        /// per property.
+        /// Key → row index, decoded from `deferred` on first keyed
+        /// access, so a zero-copy cache open allocates nothing per
+        /// property.
         index: OnceLock<HashMap<PropertyKey, u32>>,
-        /// Produces row `i`'s key for the deferred path; `None` once the
-        /// index was built eagerly. Must yield exactly `rows` distinct
-        /// keys — the cache loader validates the raw key table before
-        /// constructing the store.
-        decode_keys: Option<Box<dyn Fn() -> Vec<PropertyKey> + Send + Sync>>,
-        slab: Arc<dyn AsRef<[f32]> + Send + Sync>,
+        deferred: Box<dyn DeferredCache>,
+        slab: SharedF32,
         row_len: usize,
         /// Row count, known from the slab extent without the index.
         rows: usize,
@@ -356,13 +425,11 @@ impl Rows {
     /// The slab's key → row map, decoding the key table on first use.
     fn slab_index<'a>(
         index: &'a OnceLock<HashMap<PropertyKey, u32>>,
-        decode_keys: &Option<Box<dyn Fn() -> Vec<PropertyKey> + Send + Sync>>,
+        deferred: &dyn DeferredCache,
         rows: usize,
     ) -> &'a HashMap<PropertyKey, u32> {
         index.get_or_init(|| {
-            let keys = decode_keys
-                .as_ref()
-                .expect("slab index unset without a key decoder")();
+            let keys = deferred.keys();
             debug_assert_eq!(keys.len(), rows, "key decoder row-count contract");
             keys.into_iter()
                 .enumerate()
@@ -376,28 +443,16 @@ impl Rows {
             Rows::Owned(map) => map.get(key).map(Vec::as_slice),
             Rows::Slab {
                 index,
-                decode_keys,
+                deferred,
                 slab,
                 row_len,
                 rows,
-            } => Self::slab_index(index, decode_keys, *rows)
+            } => Self::slab_index(index, deferred.as_ref(), *rows)
                 .get(key)
                 .map(|&i| {
                     let start = i as usize * row_len;
                     &slab.as_ref().as_ref()[start..start + row_len]
                 }),
-        }
-    }
-
-    fn contains_key(&self, key: &PropertyKey) -> bool {
-        match self {
-            Rows::Owned(map) => map.contains_key(key),
-            Rows::Slab {
-                index,
-                decode_keys,
-                rows,
-                ..
-            } => Self::slab_index(index, decode_keys, *rows).contains_key(key),
         }
     }
 
@@ -412,17 +467,25 @@ impl Rows {
         self.len() == 0
     }
 
+    /// The cache sections still to decode; `None` for owned rows.
+    fn deferred(&self) -> Option<&dyn DeferredCache> {
+        match self {
+            Rows::Owned(_) => None,
+            Rows::Slab { deferred, .. } => Some(deferred.as_ref()),
+        }
+    }
+
     fn iter(&self) -> Box<dyn Iterator<Item = (&PropertyKey, &[f32])> + '_> {
         match self {
             Rows::Owned(map) => Box::new(map.iter().map(|(k, v)| (k, v.as_slice()))),
             Rows::Slab {
                 index,
-                decode_keys,
+                deferred,
                 slab,
                 row_len,
                 rows,
             } => {
-                let table = Self::slab_index(index, decode_keys, *rows);
+                let table = Self::slab_index(index, deferred.as_ref(), *rows);
                 let data = slab.as_ref().as_ref();
                 let row_len = *row_len;
                 Box::new(table.iter().map(move |(k, &i)| {
@@ -446,11 +509,14 @@ pub struct PropertyFeatureStore {
     /// stores agree bitwise.
     names: OnceLock<NameTable>,
     string_cache: StringCache,
-    /// Run-level dense pair table, built at most once per store by
-    /// [`Self::ensure_pair_table`]. Unset until some caller's expected
-    /// pair volume clears the size gate; until then lookups stay on
-    /// `string_cache`.
+    /// Run-level dense pair table: joined from the feature cache that
+    /// persisted it, or built at most once per store by
+    /// [`Self::ensure_pair_table`]. Unset until one of the two happens;
+    /// until then lookups stay on `string_cache`.
     pair_table: OnceLock<PairTable>,
+    /// Outcome of joining the cache's persisted table to the names,
+    /// settled on the first lookup (or by [`Self::join_pair_table`]).
+    persisted: OnceLock<Result<(), FeatureError>>,
     /// Lookups served by the dense pair table.
     table_hits: AtomicU64,
     /// Repairs made by the build-time numeric-hygiene pass.
@@ -654,77 +720,26 @@ impl PropertyFeatureStore {
     }
 
     /// Build a store over one shared contiguous row slab: row `i` of
-    /// `slab` (length `keys.len() × property::len(dim)`) is the property
-    /// vector for `keys[i]`. The slab stays behind the `Arc`, so a
-    /// memory-mapped v2 cache section is served without copying any row
-    /// out; everything else (name interning, degradation detection,
-    /// string-distance memoization) is identical to [`Self::from_parts`].
-    pub fn from_slab(
-        dim: usize,
-        keys: Vec<PropertyKey>,
-        slab: Arc<dyn AsRef<[f32]> + Send + Sync>,
-        sanitize: SanitizeStats,
-    ) -> Result<Self, FeatureError> {
-        let row_len = property::len(dim);
-        let floats = slab.as_ref().as_ref().len();
-        if floats != keys.len() * row_len {
-            return Err(FeatureError::MalformedSlab(format!(
-                "slab holds {floats} floats, expected {} keys x {row_len}",
-                keys.len()
-            )));
-        }
-        if keys.len() > u32::MAX as usize {
-            return Err(FeatureError::MalformedSlab(format!(
-                "{} keys exceed the u32 row-index space",
-                keys.len()
-            )));
-        }
-        let rows = keys.len();
-        let mut index = HashMap::with_capacity(rows);
-        for (i, key) in keys.into_iter().enumerate() {
-            match index.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    return Err(FeatureError::MalformedSlab(format!(
-                        "duplicate property {} at row {i}",
-                        e.key()
-                    )));
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(i as u32);
-                }
-            }
-        }
-        let built = OnceLock::new();
-        let _ = built.set(index);
-        Ok(Self::from_rows(
-            dim,
-            Rows::Slab {
-                index: built,
-                decode_keys: None,
-                slab,
-                row_len,
-                rows,
-            },
-            sanitize,
-        ))
-    }
-
-    /// [`Self::from_slab`] with the key table deferred: `decode_keys`
-    /// runs on the first keyed access instead of at construction, so
-    /// opening a zero-copy cache allocates nothing per property. The
-    /// store's row count is pinned to `rows` up front (`len()` never
-    /// forces the decode).
+    /// `slab` (length `rows × property::len(dim)`) is the property vector
+    /// for the `i`-th key `deferred` yields. The slab stays behind the
+    /// `Arc`, so a memory-mapped v2 cache section is served without
+    /// copying any row out, and `deferred` runs on first use instead of
+    /// at construction: the key table on the first keyed access, the
+    /// persisted name-distance table on the first name-distance lookup.
+    /// Opening a zero-copy cache therefore allocates nothing per
+    /// property, and `len()` never forces the key decode.
     ///
-    /// Contract: `decode_keys` must be infallible and yield exactly
-    /// `rows` distinct keys, row `i` of the slab belonging to key `i` —
-    /// the v2 cache loader guarantees this by validating the raw key
-    /// table (bounds, UTF-8, strict ordering) against the CRC-checked
-    /// section before constructing the store.
+    /// Contract: `deferred` yields exactly `rows` distinct keys, row `i`
+    /// of the slab belonging to key `i` — the v2 cache loader guarantees
+    /// this by validating the raw key table (bounds, UTF-8, strict
+    /// ordering) against the CRC-checked section before constructing the
+    /// store. A persisted table whose length does not fit the names
+    /// fails every lookup with [`FeatureError::MalformedSlab`].
     pub fn from_slab_deferred(
         dim: usize,
         rows: usize,
-        decode_keys: Box<dyn Fn() -> Vec<PropertyKey> + Send + Sync>,
-        slab: Arc<dyn AsRef<[f32]> + Send + Sync>,
+        deferred: Box<dyn DeferredCache>,
+        slab: SharedF32,
         sanitize: SanitizeStats,
     ) -> Result<Self, FeatureError> {
         let row_len = property::len(dim);
@@ -743,7 +758,7 @@ impl PropertyFeatureStore {
             dim,
             Rows::Slab {
                 index: OnceLock::new(),
-                decode_keys: Some(decode_keys),
+                deferred,
                 slab,
                 row_len,
                 rows,
@@ -752,10 +767,11 @@ impl PropertyFeatureStore {
         ))
     }
 
-    /// Shared tail of [`Self::from_parts`] / [`Self::from_slab`]: row
-    /// lengths are already validated. The derived tables (degradation
-    /// report, interned names) initialize lazily — both scan every row,
-    /// and paying them at open would forfeit the zero-copy O(1) open.
+    /// Shared tail of [`Self::from_parts`] / [`Self::from_slab_deferred`]:
+    /// row lengths are already validated. The derived tables
+    /// (degradation report, interned names, a persisted pair table's
+    /// name join) initialize lazily — each scans every row, and paying
+    /// them at open would forfeit the zero-copy O(1) open.
     fn from_rows(dim: usize, features: Rows, sanitize: SanitizeStats) -> Self {
         PropertyFeatureStore {
             dim,
@@ -763,6 +779,7 @@ impl PropertyFeatureStore {
             names: OnceLock::new(),
             string_cache: StringCache::new(),
             pair_table: OnceLock::new(),
+            persisted: OnceLock::new(),
             table_hits: AtomicU64::new(0),
             sanitize,
             degradation: OnceLock::new(),
@@ -863,20 +880,64 @@ impl PropertyFeatureStore {
     }
 
     /// `(canonical forms, table entries, lookups served)` of the dense
-    /// pair table, or `None` while the table is unbuilt.
+    /// pair table, or `None` while the table is neither built nor
+    /// joined from the feature cache.
     pub fn pair_table_stats(&self) -> Option<(usize, usize, u64)> {
         let table = self.pair_table.get()?;
         Some((
             table.n,
-            table.features.len(),
+            table.entries(),
             self.table_hits.load(Ordering::Relaxed),
         ))
     }
 
+    /// Join the feature cache's persisted pair table to the names now
+    /// rather than on the first lookup; a no-op for stores without one.
+    /// Fails with [`FeatureError::MalformedSlab`] when the table's length
+    /// does not fit the store's canonical name forms, and every lookup
+    /// then fails the same way.
+    pub fn join_pair_table(&self) -> Result<(), FeatureError> {
+        self.persisted
+            .get_or_init(|| {
+                let Some(features) = self.features.deferred().and_then(|d| d.pair_table()) else {
+                    return Ok(());
+                };
+                let table = PairTable::join(self.names(), features)?;
+                // Every builder joins first, so nothing else filled the
+                // slot while this ran.
+                let _ = self.pair_table.set(table);
+                Ok(())
+            })
+            .clone()
+    }
+
+    /// The dense pair table, joining a persisted one on first use;
+    /// `Ok(None)` while lookups belong to the memo.
+    fn table(&self) -> Result<Option<&PairTable>, FeatureError> {
+        if let Some(table) = self.pair_table.get() {
+            return Ok(Some(table));
+        }
+        match self.persisted.get() {
+            Some(Ok(())) => Ok(None),
+            _ => self.join_pair_table().map(|()| self.pair_table.get()),
+        }
+    }
+
+    /// The dense pair table as one flat slab — `n · (n + 1) / 2` entries
+    /// of [`pair::STRING_FEATURES`] floats over the sorted canonical name
+    /// forms, row-major upper triangle — which the feature cache
+    /// persists. Builds the table first when the store has none; `None`
+    /// when it would exceed [`PAIR_TABLE_MAX_ENTRIES`].
+    pub fn pair_table_slab(&self) -> Result<Option<&[f32]>, FeatureError> {
+        self.ensure_pair_table(usize::MAX);
+        Ok(self.table()?.map(|t| (*t.features).as_ref()))
+    }
+
     /// Build the run-level dense pair table (idempotent — at most one
-    /// build per store), scoring every unique canonical normalized name
-    /// pair exactly once up front so subsequent pair fills never touch a
-    /// distance kernel or a cache lock.
+    /// build per store, and none over a joined persisted table), scoring
+    /// every unique canonical normalized name pair exactly once up front
+    /// so subsequent pair fills never touch a distance kernel or a cache
+    /// lock.
     ///
     /// `expected_pairs` is the caller's pair volume; when the table
     /// would hold more than twice that many entries (or more than
@@ -894,19 +955,14 @@ impl PropertyFeatureStore {
     /// (the table fill is embarrassingly parallel over row ranges; the
     /// filled table is bitwise identical for every thread count).
     pub fn ensure_pair_table_with_threads(&self, expected_pairs: usize, threads: usize) {
-        if self.pair_table.get().is_some() {
+        // A persisted table — or a failed join, which every lookup
+        // reports — settles it.
+        if !matches!(self.table(), Ok(None)) {
             return;
         }
         // Canonicalize: names whose normalized forms coincide share one
-        // table row. Sorting keeps canonical ids reproducible.
-        let mut forms: Vec<&str> = self
-            .names()
-            .normalized_names
-            .iter()
-            .map(String::as_str)
-            .collect();
-        forms.sort_unstable();
-        forms.dedup();
+        // table row.
+        let forms = canonical_forms(self.names());
         let n = forms.len();
         let entries = n * (n + 1) / 2;
         if entries == 0
@@ -922,23 +978,16 @@ impl PropertyFeatureStore {
     fn build_pair_table(&self, forms: Vec<&str>, threads: usize) -> PairTable {
         let n = forms.len();
         let entries = n * (n + 1) / 2;
-        let form_id: HashMap<&str, u32> = forms
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (f, i as u32))
-            .collect();
-        let canon: Vec<u32> = self
-            .names()
-            .normalized_names
-            .iter()
-            .map(|f| form_id[f.as_str()])
-            .collect();
-
-        let mut features = vec![[0.0f32; pair::STRING_FEATURES]; entries];
+        let canon = canon_ids(self.names(), &forms);
+        let mut features = vec![0.0f32; entries * pair::STRING_FEATURES];
         let threads = threads.min(n.max(1));
         if threads <= 1 || entries < 2 * MIN_ITEMS_PER_THREAD {
             fill_pair_table_rows(&forms, 0, n, &mut features);
-            return PairTable { canon, n, features };
+            return PairTable {
+                canon,
+                n,
+                features: Arc::new(features),
+            };
         }
 
         // Entry-balanced row ranges: row i holds n − i entries, so equal
@@ -956,7 +1005,7 @@ impl PropertyFeatureStore {
         }
         let mut panicked = false;
         crossbeam::thread::scope(|scope| {
-            let mut rest: &mut [[f32; pair::STRING_FEATURES]] = &mut features;
+            let mut rest: &mut [f32] = &mut features;
             let mut offset = 0usize;
             let mut handles = Vec::with_capacity(ranges.len());
             for &(r0, r1) in &ranges {
@@ -964,7 +1013,7 @@ impl PropertyFeatureStore {
                     let tri = |r: usize| r * (2 * n - r + 1) / 2;
                     tri(r1) - tri(r0)
                 };
-                let (head, tail) = rest.split_at_mut(seg_len);
+                let (head, tail) = rest.split_at_mut(seg_len * pair::STRING_FEATURES);
                 rest = tail;
                 offset += seg_len;
                 let forms = &forms;
@@ -984,7 +1033,11 @@ impl PropertyFeatureStore {
             // are pure, so the serial pass is the trusted fallback.
             fill_pair_table_rows(&forms, 0, n, &mut features);
         }
-        PairTable { canon, n, features }
+        PairTable {
+            canon,
+            n,
+            features: Arc::new(features),
+        }
     }
 
     /// [`Self::ensure_pair_table`] gated on `config` actually selecting
@@ -1001,13 +1054,17 @@ impl PropertyFeatureStore {
         }
     }
 
-    fn string_features_cached(&self, a: &str, b: &str) -> [f32; pair::STRING_FEATURES] {
+    fn string_features_cached(
+        &self,
+        a: &str,
+        b: &str,
+    ) -> Result<[f32; pair::STRING_FEATURES], FeatureError> {
         let names = self.names();
-        match (names.name_ids.get(a), names.name_ids.get(b)) {
+        Ok(match (names.name_ids.get(a), names.name_ids.get(b)) {
             (Some(&ia), Some(&ib)) => {
-                if let Some(table) = self.pair_table.get() {
+                if let Some(table) = self.table()? {
                     self.table_hits.fetch_add(1, Ordering::Relaxed);
-                    return table.get(ia, ib);
+                    return Ok(table.get(ia, ib));
                 }
                 self.string_cache.get_or_compute(
                     ia,
@@ -1019,19 +1076,31 @@ impl PropertyFeatureStore {
             // Names outside the build-time set (possible only through
             // future API surface) are computed without memoization.
             _ => pair::string_features(a, b),
+        })
+    }
+
+    /// Both properties' vectors, or the error naming the first unknown.
+    fn rows_of(&self, a: &PropertyKey, b: &PropertyKey) -> Result<(&[f32], &[f32]), FeatureError> {
+        match (self.features.get(a), self.features.get(b)) {
+            (Some(pa), Some(pb)) => Ok((pa, pb)),
+            (Some(_), None) => Err(FeatureError::UnknownProperty(b.clone())),
+            _ => Err(FeatureError::UnknownProperty(a.clone())),
         }
     }
 
     /// The full (unmasked) pair feature vector for `(a, b)`
-    /// (Algorithm 1 lines 7–8), or `None` if either property is unknown.
-    pub fn full_pair_vector(&self, a: &PropertyKey, b: &PropertyKey) -> Option<Vec<f32>> {
-        let pa = self.features.get(a)?;
-        let pb = self.features.get(b)?;
+    /// (Algorithm 1 lines 7–8). Fails on an unknown property.
+    pub fn full_pair_vector(
+        &self,
+        a: &PropertyKey,
+        b: &PropertyKey,
+    ) -> Result<Vec<f32>, FeatureError> {
+        let (pa, pb) = self.rows_of(a, b)?;
         let prop_len = property::len(self.dim);
         let mut v = vec![0.0f32; self.full_pair_len()];
         pair::vector_difference_into(&mut v[..prop_len], pa, pb);
-        v[prop_len..].copy_from_slice(&self.string_features_cached(&a.name, &b.name));
-        Some(v)
+        v[prop_len..].copy_from_slice(&self.string_features_cached(&a.name, &b.name)?);
+        Ok(v)
     }
 
     /// The pair feature vector masked to `config`'s columns.
@@ -1040,9 +1109,9 @@ impl PropertyFeatureStore {
         a: &PropertyKey,
         b: &PropertyKey,
         config: &FeatureConfig,
-    ) -> Option<Vec<f32>> {
+    ) -> Result<Vec<f32>, FeatureError> {
         let full = self.full_pair_vector(a, b)?;
-        Some(config.project(&full, self.dim))
+        Ok(config.project(&full, self.dim))
     }
 
     /// Pair vectors for a batch of pairs under one configuration, row per
@@ -1054,12 +1123,7 @@ impl PropertyFeatureStore {
     ) -> Result<Vec<Vec<f32>>, FeatureError> {
         pairs
             .iter()
-            .map(|(a, b)| {
-                self.pair_vector(a, b, config).ok_or_else(|| {
-                    let missing = if self.features.contains_key(a) { b } else { a };
-                    FeatureError::UnknownProperty(missing.clone())
-                })
-            })
+            .map(|(a, b)| self.pair_vector(a, b, config))
             .collect()
     }
 
@@ -1271,14 +1335,10 @@ impl PropertyFeatureStore {
             let n_prop = cols.min(prop_len);
             for (p, out_row) in pairs.iter().zip(out.chunks_mut(cols.max(1))) {
                 let (a, b) = p.pair_keys();
-                let (pa, pb) = match (self.features.get(a), self.features.get(b)) {
-                    (Some(pa), Some(pb)) => (pa, pb),
-                    (Some(_), None) => return Err(FeatureError::UnknownProperty(b.clone())),
-                    _ => return Err(FeatureError::UnknownProperty(a.clone())),
-                };
+                let (pa, pb) = self.rows_of(a, b)?;
                 kernels::sub_abs(&mut out_row[..n_prop], &pa[..n_prop], &pb[..n_prop]);
                 if needs_strings {
-                    let strings = self.string_features_cached(&a.name, &b.name);
+                    let strings = self.string_features_cached(&a.name, &b.name)?;
                     out_row[n_prop..].copy_from_slice(&strings[..cols - n_prop]);
                 }
             }
@@ -1286,13 +1346,9 @@ impl PropertyFeatureStore {
         }
         for (p, out_row) in pairs.iter().zip(out.chunks_mut(cols.max(1))) {
             let (a, b) = p.pair_keys();
-            let (pa, pb) = match (self.features.get(a), self.features.get(b)) {
-                (Some(pa), Some(pb)) => (pa, pb),
-                (Some(_), None) => return Err(FeatureError::UnknownProperty(b.clone())),
-                _ => return Err(FeatureError::UnknownProperty(a.clone())),
-            };
+            let (pa, pb) = self.rows_of(a, b)?;
             let strings = if needs_strings {
-                self.string_features_cached(&a.name, &b.name)
+                self.string_features_cached(&a.name, &b.name)?
             } else {
                 [0.0; pair::STRING_FEATURES]
             };
@@ -1347,8 +1403,10 @@ pub enum FeatureError {
     },
     /// A cooperative cancellation check fired mid-build or mid-fill.
     Cancelled,
-    /// A shared feature slab's shape disagrees with its key list (wrong
-    /// float count or a duplicate property row).
+    /// A shared feature slab's shape disagrees with what it describes:
+    /// a row slab with the wrong float count for its keys, or a
+    /// persisted name-distance table whose length does not fit the
+    /// store's canonical name forms.
     MalformedSlab(String),
 }
 
@@ -1530,7 +1588,10 @@ mod tests {
         let store = PropertyFeatureStore::build(&ds, &embeddings());
         let a = PropertyKey::new(SourceId(0), "megapixels");
         let ghost = PropertyKey::new(SourceId(1), "ghost");
-        assert!(store.full_pair_vector(&a, &ghost).is_none());
+        assert_eq!(
+            store.full_pair_vector(&a, &ghost),
+            Err(FeatureError::UnknownProperty(ghost.clone()))
+        );
         let err = store
             .pair_matrix(&[(a.clone(), ghost.clone())], &FeatureConfig::full())
             .unwrap_err();
@@ -1713,6 +1774,114 @@ mod tests {
         // Identical normalized forms ⇒ all eight string distances are 0.
         let prop_len = property::len(store.dim());
         assert!(v[prop_len..].iter().all(|&x| x == 0.0));
+    }
+
+    /// The sections a cache loader would defer: keys, and optionally a
+    /// persisted name-distance table.
+    struct Sections {
+        keys: Vec<PropertyKey>,
+        table: Option<Vec<f32>>,
+    }
+
+    impl DeferredCache for Sections {
+        fn keys(&self) -> Vec<PropertyKey> {
+            self.keys.clone()
+        }
+
+        fn pair_table(&self) -> Option<SharedF32> {
+            self.table.clone().map(|t| Arc::new(t) as SharedF32)
+        }
+    }
+
+    /// `built`'s rows as a deferred slab store carrying `table`.
+    fn deferred_copy(
+        built: &PropertyFeatureStore,
+        table: Option<Vec<f32>>,
+    ) -> PropertyFeatureStore {
+        let mut rows: Vec<(&PropertyKey, &[f32])> = built.iter().collect();
+        rows.sort_by(|a, b| a.0.cmp(b.0));
+        let slab: Vec<f32> = rows.iter().flat_map(|(_, v)| v.iter().copied()).collect();
+        let keys = rows.iter().map(|(k, _)| (*k).clone()).collect();
+        PropertyFeatureStore::from_slab_deferred(
+            built.dim(),
+            rows.len(),
+            Box::new(Sections { keys, table }),
+            Arc::new(slab),
+            built.sanitize_stats(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn persisted_pair_table_serves_lookups_bitwise_like_the_memo() {
+        let ds = wide_dataset(6);
+        let emb = embeddings();
+        let memo = PropertyFeatureStore::build(&ds, &emb);
+        let writer = PropertyFeatureStore::build(&ds, &emb);
+        let table = writer.pair_table_slab().unwrap().unwrap().to_vec();
+        let mapped = deferred_copy(&writer, Some(table));
+        assert!(
+            mapped.pair_table_stats().is_none(),
+            "joined on first use, not at open"
+        );
+
+        let keys = ds.properties();
+        let pairs: Vec<(PropertyKey, PropertyKey)> = keys
+            .iter()
+            .flat_map(|a| keys.iter().map(move |b| (a.clone(), b.clone())))
+            .collect();
+        let cfg = FeatureConfig::full();
+        let mask = cfg.mask(memo.dim());
+        let mut want = vec![0.0f32; pairs.len() * mask.len()];
+        let mut got = vec![0.0f32; want.len()];
+        memo.fill_pair_block(&pairs, &mask, &mut want).unwrap();
+        mapped.fill_pair_block(&pairs, &mask, &mut got).unwrap();
+        assert_eq!(
+            want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            got.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+        assert!(memo.pair_table_stats().is_none());
+        assert_eq!(
+            memo.string_cache_stats().0 + memo.string_cache_stats().1,
+            pairs.len() as u64
+        );
+        assert_eq!(mapped.string_cache_stats(), (0, 0));
+        let (forms, entries, hits) = mapped.pair_table_stats().unwrap();
+        assert_eq!((forms, entries), (12, 78));
+        assert_eq!(hits, pairs.len() as u64);
+    }
+
+    #[test]
+    fn persisted_pair_table_that_misfits_the_names_fails_every_lookup() {
+        let ds = toy_dataset();
+        let emb = embeddings();
+        let writer = PropertyFeatureStore::build(&ds, &emb);
+        let table = writer.pair_table_slab().unwrap().unwrap();
+        // 3 forms need 6 entries; keep the first 3 (a whole triangle
+        // over 2 forms), as a cache with disagreeing sections would.
+        let short = table[..3 * pair::STRING_FEATURES].to_vec();
+        let mapped = deferred_copy(&writer, Some(short));
+        let a = PropertyKey::new(SourceId(0), "megapixels");
+        let b = PropertyKey::new(SourceId(1), "resolution");
+        let mask = FeatureConfig::full().mask(mapped.dim());
+        let mut out = vec![0.0f32; mask.len()];
+        let err = mapped
+            .fill_pair_block(&[(a.clone(), b.clone())], &mask, &mut out)
+            .unwrap_err();
+        assert!(
+            matches!(err, FeatureError::MalformedSlab(ref m) if m.contains("3 canonical")),
+            "{err}"
+        );
+        assert!(matches!(
+            mapped.full_pair_vector(&a, &b),
+            Err(FeatureError::MalformedSlab(_))
+        ));
+        assert!(mapped.join_pair_table().is_err());
+        // No silent fallback: neither the memo nor a fresh build served.
+        mapped.ensure_pair_table(usize::MAX);
+        assert!(mapped.pair_table_stats().is_none());
+        assert_eq!(mapped.string_cache_stats(), (0, 0));
+        assert!(mapped.pair_table_slab().is_err());
     }
 
     #[test]

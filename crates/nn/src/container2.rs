@@ -773,10 +773,13 @@ impl V2Container {
 /// [`V2Container::f32_section`]). Implements `AsRef<[f32]>`, so it can
 /// back a `leapme_nn::matrix::Matrix` via `Matrix::from_shared` or a
 /// feature slab, pinning the mapping for as long as any user holds it.
+/// A clone shares the mapping.
+#[derive(Clone)]
 pub struct F32Section {
     inner: F32Inner,
 }
 
+#[derive(Clone)]
 enum F32Inner {
     View {
         container: Arc<V2Container>,

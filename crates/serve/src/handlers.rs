@@ -83,9 +83,7 @@ pub fn handle(state: &ServeState, req: &Request, token: &CancelToken) -> Respons
 /// per-domain stats (resident flag, generation, bytes mapped, open_ms,
 /// hit/miss counts, evictions) when running in registry mode.
 fn metrics(state: &ServeState) -> Response {
-    let mut body = state
-        .metrics
-        .to_json(0, state.draining.load(Ordering::SeqCst));
+    let mut body = state.metrics.to_json(state.draining.load(Ordering::SeqCst));
     if let Some(registry) = state.registry() {
         let stats =
             serde_json::to_string(&registry.stats()).expect("registry stats serialize");

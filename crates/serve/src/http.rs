@@ -37,7 +37,8 @@ impl Default for HttpLimits {
 const MAX_HEADERS: usize = 64;
 
 /// How reading a request can fail. Each variant maps to a specific
-/// response (or, for [`HttpError::Disconnected`], to none at all).
+/// response (or, for [`HttpError::Closed`] and
+/// [`HttpError::Disconnected`], to none at all).
 #[derive(Debug)]
 pub enum HttpError {
     /// Structurally invalid request → `400` with a typed error body.
@@ -51,8 +52,12 @@ pub enum HttpError {
     },
     /// The socket read timed out mid-request (slow-loris) → `408`.
     Timeout,
-    /// The client vanished before completing the request; there is no
-    /// one left to answer.
+    /// The client closed the connection before sending any byte of a
+    /// request: the normal end of a kept-alive conversation, or a
+    /// connection that never carried one.
+    Closed,
+    /// The client vanished partway through a request; there is no one
+    /// left to answer.
     Disconnected,
     /// A genuine transport failure.
     Io(std::io::Error),
@@ -66,6 +71,7 @@ impl std::fmt::Display for HttpError {
                 write!(f, "body of {declared} bytes exceeds the {limit}-byte limit")
             }
             HttpError::Timeout => write!(f, "read timed out mid-request"),
+            HttpError::Closed => write!(f, "client closed the connection before a request"),
             HttpError::Disconnected => write!(f, "client disconnected mid-request"),
             HttpError::Io(e) => write!(f, "socket error: {e}"),
         }
@@ -152,10 +158,14 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
         }
         let n = stream.read(&mut chunk).map_err(classify)?;
         if n == 0 {
-            // EOF without a complete head: nothing-at-all is a probe
-            // (or a coalescing client giving up); a partial head is a
+            // EOF without a complete head: nothing-at-all is a close
+            // between requests (or a probe); a partial head is a
             // mid-request disconnect. Neither can be answered.
-            return Err(HttpError::Disconnected);
+            return Err(if buf.is_empty() {
+                HttpError::Closed
+            } else {
+                HttpError::Disconnected
+            });
         }
         buf.extend_from_slice(&chunk[..n]);
     };
@@ -377,8 +387,8 @@ pub fn drain_then_close(stream: &mut TcpStream, max_bytes: usize, timeout: std::
 }
 
 /// Map a read-side failure to the response owed to the client, if any.
-/// `Disconnected` yields `None` — there is no one to answer — and the
-/// caller just drops the connection.
+/// `Closed` and `Disconnected` yield `None` — there is no one to
+/// answer — and the caller just drops the connection.
 pub fn error_response(e: &HttpError) -> Option<Response> {
     match e {
         HttpError::BadRequest(m) => Some(Response::error(400, "bad-request", m)),
@@ -392,7 +402,7 @@ pub fn error_response(e: &HttpError) -> Option<Response> {
             "request-timeout",
             "socket read timed out before the request completed",
         )),
-        HttpError::Disconnected => None,
+        HttpError::Closed | HttpError::Disconnected => None,
         HttpError::Io(e) => Some(Response::error(400, "bad-request", &e.to_string())),
     }
 }

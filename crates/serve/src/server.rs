@@ -244,7 +244,11 @@ fn accept_loop(
                     drain_then_close(&mut stream, LINGER_MAX_BYTES, LINGER_TIMEOUT);
                     continue;
                 }
+                // Counted before the push, so the worker's decrement
+                // after its pop can never come first.
+                state.metrics.queued.fetch_add(1, Ordering::Relaxed);
                 if let Err(rejected) = queue.try_push(Job { stream }) {
+                    state.metrics.queued.fetch_sub(1, Ordering::Relaxed);
                     state.metrics.shed.fetch_add(1, Ordering::Relaxed);
                     let mut stream = rejected.stream;
                     let _ = stream.set_write_timeout(Some(state.config.io_timeout));
@@ -268,6 +272,7 @@ fn accept_loop(
 /// Pop-and-serve until the queue reports closed-and-drained.
 fn worker_loop(state: Arc<ServeState>, queue: Arc<Bounded<Job>>) {
     while let Pop::Item(job) = queue.pop() {
+        state.metrics.queued.fetch_sub(1, Ordering::Relaxed);
         serve_connection(&state, job.stream);
     }
 }
@@ -308,12 +313,12 @@ fn serve_connection(state: &ServeState, mut stream: TcpStream) {
             Err(e) => {
                 match error_response(&e) {
                     // On a kept-alive connection, an idle client going
-                    // away (EOF) or staying silent past the socket
-                    // timeout is a normal end of conversation, not an
-                    // error owed a response.
-                    Some(_)
-                        if served > 0
-                            && matches!(e, HttpError::Timeout | HttpError::Disconnected) => {}
+                    // away before the next request's first byte, or
+                    // staying silent past the socket timeout, is a
+                    // normal end of conversation: no error, no
+                    // disconnect. A close partway through a request
+                    // still counts as one.
+                    _ if served > 0 && matches!(e, HttpError::Timeout | HttpError::Closed) => {}
                     Some(resp) => {
                         state.metrics.client_errors.fetch_add(1, Ordering::Relaxed);
                         write_response(state, &mut stream, &resp);

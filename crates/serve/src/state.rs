@@ -69,11 +69,14 @@ impl Default for ServeConfig {
     }
 }
 
-/// Monotonic counters, exported by `GET /metrics` and aggregated into
-/// the drain report. All relaxed: they are statistics, not locks.
+/// Monotonic counters and one gauge (`queued`), exported by
+/// `GET /metrics` and aggregated into the drain report. All relaxed:
+/// they are statistics, not locks.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Connections admitted to the queue.
+    /// Requests read in full, with a valid deadline, and handed to a
+    /// handler — one per request, so a kept-alive connection counts
+    /// each of its requests.
     pub admitted: AtomicU64,
     /// Requests answered with any status.
     pub completed: AtomicU64,
@@ -102,11 +105,15 @@ pub struct Metrics {
     pub integrations: AtomicU64,
     /// Registry-mode domain hot-swaps completed via `POST /reload`.
     pub reloads: AtomicU64,
+    /// Connections waiting in the admission queue for a worker right
+    /// now: a gauge, raised on admission and lowered when a worker
+    /// takes the connection.
+    pub queued: AtomicU64,
 }
 
 impl Metrics {
-    /// Render every counter as a JSON object.
-    pub fn to_json(&self, queued: usize, draining: bool) -> String {
+    /// Render every counter and the queue gauge as a JSON object.
+    pub fn to_json(&self, draining: bool) -> String {
         let snap = MetricsSnapshot {
             admitted: self.admitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
@@ -121,14 +128,14 @@ impl Metrics {
             write_failures: self.write_failures.load(Ordering::Relaxed),
             integrations: self.integrations.load(Ordering::Relaxed),
             reloads: self.reloads.load(Ordering::Relaxed),
-            queued,
+            queued: self.queued.load(Ordering::Relaxed),
             draining,
         };
         serde_json::to_string(&snap).expect("metrics snapshot serializes")
     }
 }
 
-/// Serializable view of [`Metrics`] plus instantaneous queue state.
+/// Serializable view of [`Metrics`] plus the drain flag.
 #[derive(Serialize)]
 struct MetricsSnapshot {
     admitted: u64,
@@ -144,7 +151,7 @@ struct MetricsSnapshot {
     write_failures: u64,
     integrations: u64,
     reloads: u64,
-    queued: usize,
+    queued: u64,
     draining: bool,
 }
 

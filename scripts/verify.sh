@@ -659,7 +659,7 @@ fi
 stop_serve "snapshot drill"
 echo "    restart recovered generation 1; snapshot bytes unchanged"
 
-echo "==> registry drill: inspect verifies every section, corrupt slab caught, heals on restore"
+echo "==> registry drill: inspect verifies every section, corrupt slab and table caught, heals on restore"
 REG="$DRILL_DIR/registry"
 mkdir -p "$REG/alpha" "$REG/beta"
 cp "$DRILL_DIR/ref.lmp" "$REG/alpha/model.lmp"
@@ -676,36 +676,57 @@ for d in alpha beta; do
         exit 1
     fi
 done
-# Flip one byte deep inside the vector slab — past everything the lazy
-# zero-copy open touches. The resident fault-in would map this file
-# happily; the inspect sweep must refuse it, typed.
+# alpha's cache was written by `match --feature-cache`, so it carries
+# the name-distance table; beta builds its store from embeddings.
+if ! grep -q "^alpha: .* pair_table=[1-9]" "$DRILL_DIR/reg1.out"; then
+    echo "registry drill: alpha's feature cache carries no name-distance table" >&2
+    cat "$DRILL_DIR/reg1.out" >&2
+    exit 1
+fi
+# Flip one byte in the middle of the vector slab, then of the
+# name-distance table — both past everything the lazy zero-copy open
+# touches. The resident fault-in would map either file happily; the
+# inspect sweep must refuse each, typed. Each section is located from
+# the container's section table (64-byte header, then one 64-byte entry
+# per section: name, dtype, offset, length, CRC).
 cp "$REG/alpha/features.lfc" "$DRILL_DIR/features.lfc.pristine"
-python3 - "$REG/alpha/features.lfc" <<'EOF'
-import sys
-path = sys.argv[1]
+for section in vectors pair_table; do
+    python3 - "$REG/alpha/features.lfc" "$section" <<'EOF'
+import struct, sys
+path, want = sys.argv[1], sys.argv[2]
 with open(path, "r+b") as f:
     data = bytearray(f.read())
-    data[len(data) - 64] ^= 0xFF
+    (count,) = struct.unpack_from("<I", data, 14)
+    for i in range(count):
+        entry = data[64 + 64 * i:128 + 64 * i]
+        name = entry[:32].rstrip(b"\0").decode()
+        offset, length = struct.unpack_from("<QQ", entry, 40)
+        if name == want and length > 0:
+            data[offset + length // 2] ^= 0xFF
+            break
+    else:
+        sys.exit(f"registry drill: no {want} section in {path}")
     f.seek(0)
     f.write(data)
 EOF
-set +e
-"$LEAPME" registry --dir "$REG" > "$DRILL_DIR/reg2.out" 2>&1
-REG_RC=$?
-set -e
-if [ "$REG_RC" -eq 0 ]; then
-    echo "registry drill: inspect accepted a corrupted vector slab" >&2
-    cat "$DRILL_DIR/reg2.out" >&2
-    exit 1
-fi
-if ! grep -qi "checksum" "$DRILL_DIR/reg2.out"; then
-    echo "registry drill: corruption failure was not a typed checksum error" >&2
-    cat "$DRILL_DIR/reg2.out" >&2
-    exit 1
-fi
-cp "$DRILL_DIR/features.lfc.pristine" "$REG/alpha/features.lfc"
+    set +e
+    "$LEAPME" registry --dir "$REG" > "$DRILL_DIR/reg2.out" 2>&1
+    REG_RC=$?
+    set -e
+    if [ "$REG_RC" -eq 0 ]; then
+        echo "registry drill: inspect accepted a corrupted $section section" >&2
+        cat "$DRILL_DIR/reg2.out" >&2
+        exit 1
+    fi
+    if ! grep -qi "checksum" "$DRILL_DIR/reg2.out"; then
+        echo "registry drill: $section corruption was not a typed checksum error" >&2
+        cat "$DRILL_DIR/reg2.out" >&2
+        exit 1
+    fi
+    cp "$DRILL_DIR/features.lfc.pristine" "$REG/alpha/features.lfc"
+done
 "$LEAPME" registry --dir "$REG" >/dev/null
-echo "    corrupt slab rejected with a checksum error; pristine copy verifies again"
+echo "    corrupt vector slab and name-distance table each rejected with a checksum error; pristine copy verifies again"
 
 echo "==> registry hot-swap drill: serve --models, per-domain routing, /reload swaps live"
 # A second model trained at a different seed: the swap must visibly

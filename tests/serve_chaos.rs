@@ -538,8 +538,9 @@ fn every_shed_reaches_a_client_that_sent_its_request() {
     );
 
     // Close the holds. The worker counts a never-used connection as a
-    // disconnect when it takes it off the queue, so two disconnects mean
-    // a queue slot is free again and service resumes.
+    // disconnect when it takes it off the queue (the worker hold, which
+    // completed an exchange, ends normally), so two disconnects mean a
+    // queue slot is free again and service resumes.
     drop(worker_hold);
     drop(queue_holds);
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -779,6 +780,92 @@ fn keep_alive_is_granted_explicitly_and_bounded_by_the_budget() {
     plain.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty());
 
+    handle.shutdown();
+    assert!(handle.join().clean);
+}
+
+/// A kept-alive client that hangs up after a completed exchange ends
+/// the conversation normally; one that hangs up partway through its
+/// next request is a disconnect.
+#[test]
+fn a_close_between_kept_alive_requests_is_not_a_disconnect() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let _g = serial();
+    let (handle, state) = start_server(ServeConfig {
+        workers: 1,
+        ..quick_config()
+    });
+    let addr = handle.addr();
+    let keep_alive_get =
+        b"GET /healthz HTTP/1.1\r\nhost: test\r\nconnection: keep-alive\r\ncontent-length: 0\r\n\r\n";
+    // The one worker takes connections in arrival order, so once a
+    // later connection is answered it has finished with the earlier.
+    let settled = || assert_eq!(status_of(&request(addr, "GET", "/healthz", "")), 200);
+
+    let mut done = TcpStream::connect(addr).unwrap();
+    done.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert_eq!(status_of(&exchange(&mut done, keep_alive_get)), 200);
+    drop(done);
+    settled();
+    assert_eq!(
+        state.metrics.disconnects.load(Relaxed),
+        0,
+        "a close after an exchange"
+    );
+
+    let mut torn = TcpStream::connect(addr).unwrap();
+    torn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert_eq!(status_of(&exchange(&mut torn, keep_alive_get)), 200);
+    torn.write_all(b"POST /score HTTP/1.1\r\ncontent-le")
+        .unwrap();
+    drop(torn);
+    settled();
+    assert_eq!(
+        state.metrics.disconnects.load(Relaxed),
+        1,
+        "a close mid-request"
+    );
+
+    handle.shutdown();
+    assert!(handle.join().clean);
+}
+
+/// `/metrics` reports how many connections wait in the admission queue.
+#[test]
+fn metrics_report_the_admission_queue_depth() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let _g = serial();
+    let (handle, state) = start_server(ServeConfig {
+        workers: 1,
+        io_timeout: Duration::from_secs(30),
+        ..quick_config()
+    });
+    let addr = handle.addr();
+
+    // Hold the one worker on a kept-alive connection, then queue two.
+    let mut hold = TcpStream::connect(addr).unwrap();
+    hold.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let first = exchange(
+        &mut hold,
+        b"GET /healthz HTTP/1.1\r\nhost: test\r\nconnection: keep-alive\r\ncontent-length: 0\r\n\r\n",
+    );
+    assert_eq!(status_of(&first), 200);
+    let queued: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while state.metrics.queued.load(Relaxed) < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(state.metrics.queued.load(Relaxed), 2);
+    assert!(state.metrics.to_json(false).contains("\"queued\":2"));
+
+    drop(hold);
+    drop(queued);
+    let metrics = request(addr, "GET", "/metrics", "");
+    assert_eq!(status_of(&metrics), 200);
+    assert_eq!(json_u64(body_of(&metrics), "queued"), 0, "{metrics}");
     handle.shutdown();
     assert!(handle.join().clean);
 }

@@ -355,6 +355,19 @@ fn match_over_an_edited_dataset_is_a_typed_500_until_restored() {
     assert_eq!(body_of(&again), body_of(&scored));
     assert_eq!(state.registry().unwrap().get("tvs").unwrap().generation, 0);
 
+    // Evicted, the domain faults back in from its cache without reading
+    // the edited file: /score answers the verified data byte for byte,
+    // while /match and /reload, which read the file, still refuse.
+    state.registry().unwrap().evict("tvs").unwrap();
+    let refaulted = request(addr, "POST", "/score", &score_body(&tvs, 4, Some("tvs")));
+    assert_eq!(body_of(&refaulted), body_of(&scored));
+    let resp = request_with_headers(addr, "POST", "/match", "x-leapme-model: tvs\r\n", "");
+    assert_eq!(status_of(&resp), 500, "{resp}");
+    assert!(body_of(&resp).contains("fingerprint"), "{resp}");
+    let resp = request(addr, "POST", "/reload", "{\"model\":\"tvs\"}");
+    assert_eq!(status_of(&resp), 500, "{resp}");
+    assert!(body_of(&resp).contains("reload-failed") && body_of(&resp).contains("fingerprint"));
+
     std::fs::write(&path, &original).unwrap();
     let resp = request_with_headers(addr, "POST", "/match", "x-leapme-model: tvs\r\n", "");
     assert_eq!(status_of(&resp), 200, "{resp}");

@@ -12,6 +12,7 @@ use leapme::features::{instance, pair};
 use leapme::nn::matrix::Matrix;
 use leapme::nn::network::{Mlp, TrainConfig};
 use leapme::nn::schedule::LrSchedule;
+use leapme::nn::workspace::ScoreWorkspace;
 use leapme::prelude::*;
 use leapme::textsim::{damerau, jaro, levenshtein, ngram, qgram, StringDistances};
 use rand::rngs::StdRng;
@@ -95,8 +96,16 @@ fn bench_nn(c: &mut Criterion) {
         (0..32 * 137).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
     );
     let mut g = c.benchmark_group("nn");
+    // The scoring path: workspace buffers reused across iterations, as
+    // `LeapmeModel::score` reuses them across blocks.
+    let mut ws = ScoreWorkspace::new();
+    let mut probs = Vec::new();
     g.bench_function("forward_batch32_137in", |b| {
-        b.iter(|| net.predict_proba(black_box(&x)))
+        b.iter(|| {
+            probs.clear();
+            net.predict_proba_into(black_box(&x), &mut ws, &mut probs);
+            black_box(probs.len())
+        })
     });
     g.bench_function("train_epoch_batch32_137in", |b| {
         let labels: Vec<usize> = (0..32).map(|i| i % 2).collect();
@@ -131,19 +140,18 @@ fn bench_matmul(c: &mut Criterion) {
     let w = rand_matrix(637, 128);
     let threads = leapme::nn::threads::thread_count();
 
+    let mut out = Matrix::default();
     let mut g = c.benchmark_group("matmul");
-    g.bench_function("serial_32x637x128", |b| {
-        b.iter(|| black_box(&a32).matmul_with_threads(black_box(&w), 1))
-    });
-    g.bench_function("threaded_32x637x128", |b| {
-        b.iter(|| black_box(&a32).matmul_with_threads(black_box(&w), threads))
-    });
-    g.bench_function("serial_256x637x128", |b| {
-        b.iter(|| black_box(&a256).matmul_with_threads(black_box(&w), 1))
-    });
-    g.bench_function("threaded_256x637x128", |b| {
-        b.iter(|| black_box(&a256).matmul_with_threads(black_box(&w), threads))
-    });
+    for (name, a, t) in [
+        ("serial_32x637x128", &a32, 1),
+        ("threaded_32x637x128", &a32, threads),
+        ("serial_256x637x128", &a256, 1),
+        ("threaded_256x637x128", &a256, threads),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(a).matmul_into(black_box(&w), &mut out, t))
+        });
+    }
     g.finish();
 }
 

@@ -65,7 +65,7 @@
 //! ```
 
 use leapme::core::feature_cache;
-use leapme::core::pipeline::{DurableFitOptions, Leapme, LeapmeConfig, ScoreOptions};
+use leapme::core::pipeline::{FitControl, Leapme, LeapmeConfig, ScoreOptions};
 use leapme::core::sampling;
 use leapme::data::io::atomic_write;
 use leapme::data::spec::{generate_dataset, EntityCount};
@@ -449,7 +449,7 @@ fn measure_checkpoint_overhead(
     let mut fit_checkpointed_s = f64::INFINITY;
     for _ in 0..repeats.max(1) {
         let t = Instant::now();
-        Leapme::fit_durable(&store, &train_pairs, &cfg, &DurableFitOptions::default())
+        Leapme::fit_durable(&store, &train_pairs, &cfg, &FitControl::default())
             .expect("fit without checkpointing");
         fit_s = fit_s.min(t.elapsed().as_secs_f64());
 
@@ -458,7 +458,7 @@ fn measure_checkpoint_overhead(
             &store,
             &train_pairs,
             &cfg,
-            &DurableFitOptions {
+            &FitControl {
                 checkpoint_path: Some(&ckpt_path),
                 checkpoint_every: 1,
                 ..Default::default()

@@ -190,7 +190,7 @@ pub fn run(flags: &Flags) -> Result<String, CliError> {
                 seed,
                 ..LeapmeConfig::default()
             };
-            let opts = leapme::core::pipeline::DurableFitOptions {
+            let opts = leapme::core::pipeline::FitControl {
                 cancel: Some(&check),
                 ..Default::default()
             };

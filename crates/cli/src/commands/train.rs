@@ -16,7 +16,7 @@ use super::{cancel_token, load_dataset, pipeline_err};
 use crate::args::Flags;
 use crate::CliError;
 use leapme::core::feature_cache;
-use leapme::core::pipeline::{DurableFitOptions, Leapme, LeapmeConfig};
+use leapme::core::pipeline::{FitControl, Leapme, LeapmeConfig};
 use leapme::core::sampling;
 use leapme::data::model::SourceId;
 use leapme::embedding::store::EmbeddingStore;
@@ -116,7 +116,7 @@ pub fn run(flags: &Flags) -> Result<String, CliError> {
         seed,
         ..LeapmeConfig::default()
     };
-    let opts = DurableFitOptions {
+    let opts = FitControl {
         checkpoint_path: checkpoint,
         checkpoint_every,
         resume,

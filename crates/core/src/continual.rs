@@ -38,7 +38,7 @@ use crate::cancel::CancelToken;
 use crate::incremental::integrate_source;
 use crate::journal::RunJournal;
 use crate::metrics::Metrics;
-use crate::pipeline::{DurableFitOptions, Leapme, LeapmeConfig, LeapmeModel};
+use crate::pipeline::{FitControl, Leapme, LeapmeConfig, LeapmeModel};
 use crate::retry::RetryPolicy;
 use crate::sampling;
 use crate::simgraph::SimilarityGraph;
@@ -787,13 +787,11 @@ pub fn run_schedule(
     let holdout =
         sampling::test_examples(&schedule.base, &split.train, cfg.negative_ratio, &mut rng);
     if holdout.is_empty() {
-        return Err(CoreError::InvalidSplit(
-            "base dataset leaves no held-out labeled slice".to_string(),
-        ));
+        return Err(CoreError::NoHoldoutData);
     }
 
     let store = PropertyFeatureStore::build(&schedule.base, embeddings);
-    let champion = Leapme::fit_durable(&store, &labeled, &cfg.model, &DurableFitOptions::default())?;
+    let champion = Leapme::fit_durable(&store, &labeled, &cfg.model, &FitControl::default())?;
     let all_pairs = sampling::test_pairs(&schedule.base, &[]);
     let graph = champion.predict_graph(&store, &all_pairs)?;
     let keys = schedule.base.properties();
@@ -1107,7 +1105,7 @@ fn refit_epoch(
             &state.store,
             labeled,
             &challenger_cfg,
-            &DurableFitOptions::default(),
+            &FitControl::default(),
         )
     };
 
@@ -1268,6 +1266,42 @@ mod tests {
             .collect();
         assert_eq!(reasons[0], QuarantineReason::EmptySource);
         assert!(matches!(reasons[1], QuarantineReason::OversizedValue { .. }));
+    }
+
+    #[test]
+    fn a_base_without_held_out_matches_has_no_holdout() {
+        // Every property aligns to its own reference, so no ground-truth
+        // pair exists and the held-out sources carry no labeled pair.
+        let instances = (0..3u16)
+            .map(|s| leapme_data::model::Instance {
+                source: SourceId(s),
+                property: format!("p{s}"),
+                entity: "e".into(),
+                value: "1".into(),
+            })
+            .collect();
+        let alignment = (0..3u16)
+            .map(|s| {
+                (
+                    PropertyKey::new(SourceId(s), format!("p{s}")),
+                    format!("r{s}"),
+                )
+            })
+            .collect();
+        let sources = vec!["a".into(), "b".into(), "c".into()];
+        let schedule = DriftSchedule {
+            base: Dataset::new("unmatched", sources, instances, alignment).unwrap(),
+            arrivals: Vec::new(),
+        };
+        let err = run_schedule(
+            &schedule,
+            &EmbeddingStore::new(4),
+            &small_continual_config(),
+            None,
+            &RunOptions::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CoreError::NoHoldoutData), "got {err}");
     }
 
     #[test]

@@ -96,11 +96,10 @@ pub fn permutation_importance(
     }
     let d = store.dim();
     if model.input_dim() != pair::len(d) {
-        return Err(CoreError::InvalidSplit(format!(
-            "model expects {} features; importance analysis requires the full configuration ({})",
-            model.input_dim(),
-            pair::len(d)
-        )));
+        return Err(CoreError::WidthMismatch {
+            model: model.input_dim(),
+            required: pair::len(d),
+        });
     }
 
     // Materialize the full feature matrix once.
@@ -270,7 +269,12 @@ mod tests {
         )
         .unwrap();
         let eval_pairs = sampling::test_examples(&ds, &split.train, 2, &mut rng);
-        assert!(permutation_importance(&model, &store, &eval_pairs, 1).is_err());
+        match permutation_importance(&model, &store, &eval_pairs, 1) {
+            Err(CoreError::WidthMismatch { model: m, required }) => {
+                assert_eq!((m, required), (model.input_dim(), pair::len(store.dim())));
+            }
+            other => panic!("expected WidthMismatch, got {:?}", other.map(|_| "report")),
+        }
         assert!(permutation_importance(&model, &store, &[], 1).is_err());
     }
 }

@@ -81,6 +81,19 @@ pub enum CoreError {
     NoTrainingData,
     /// Not enough sources for the requested split.
     InvalidSplit(String),
+    /// A run configuration that cannot run at all (zero repetitions, an
+    /// empty tuning grid).
+    InvalidConfig(String),
+    /// The held-out sources carry no labeled pairs, so there is nothing
+    /// to judge a model on.
+    NoHoldoutData,
+    /// A model's input width differs from the width an analysis needs.
+    WidthMismatch {
+        /// Input width of the model.
+        model: usize,
+        /// Width the analysis requires.
+        required: usize,
+    },
     /// A feature store built at one embedding dimension was handed to a
     /// model trained at another.
     DimMismatch {
@@ -132,6 +145,12 @@ impl std::fmt::Display for CoreError {
         match self {
             CoreError::NoTrainingData => write!(f, "no labeled training pairs"),
             CoreError::InvalidSplit(msg) => write!(f, "invalid split: {msg}"),
+            CoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            CoreError::NoHoldoutData => write!(f, "no labeled held-out pairs"),
+            CoreError::WidthMismatch { model, required } => write!(
+                f,
+                "model takes {model} features, the analysis requires {required}"
+            ),
             CoreError::DimMismatch { store, model } => write!(
                 f,
                 "feature store embedding dim {store} does not match the model's dim {model}"

@@ -15,10 +15,15 @@ use leapme_nn::checkpoint::{self, CheckpointError, Decoder, Encoder, KIND_PIPELI
 use leapme_nn::container2::{self, Opened, V2Container, V2Writer};
 use leapme_nn::layers::{Activation, Dense};
 use leapme_nn::matrix::Matrix;
-use leapme_nn::network::{FitControl, Mlp, TrainConfig};
+use leapme_nn::network::{Mlp, TrainConfig};
 use leapme_nn::workspace::ScoreWorkspace;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
+
+/// Durability knobs for [`Leapme::fit_durable`]: where to checkpoint
+/// training, how often, whether to resume, and the cancellation check,
+/// which the pair-matrix fill also polls between work blocks.
+pub use leapme_nn::network::FitControl;
 
 /// Configuration of a LEAPME fit.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -73,33 +78,6 @@ pub struct ScoreOptions<'a> {
     pub threads: usize,
 }
 
-/// Durability knobs for [`Leapme::fit_durable`]: where to checkpoint
-/// training, how often, whether to resume, and the cancellation check
-/// polled between pipeline work blocks.
-#[derive(Default)]
-pub struct DurableFitOptions<'a> {
-    /// Training checkpoint file (removed on successful completion).
-    /// `None` disables checkpointing entirely.
-    pub checkpoint_path: Option<&'a Path>,
-    /// Checkpoint every N epochs; `0` = only when cancellation fires.
-    pub checkpoint_every: usize,
-    /// Resume from `checkpoint_path` if it exists and matches this run.
-    pub resume: bool,
-    /// Cooperative cancellation check, polled between work blocks.
-    pub cancel: Option<&'a (dyn Fn() -> bool + Sync)>,
-}
-
-impl std::fmt::Debug for DurableFitOptions<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableFitOptions")
-            .field("checkpoint_path", &self.checkpoint_path)
-            .field("checkpoint_every", &self.checkpoint_every)
-            .field("resume", &self.resume)
-            .field("cancel", &self.cancel.is_some())
-            .finish()
-    }
-}
-
 /// Entry point for fitting LEAPME models.
 pub struct Leapme;
 
@@ -113,7 +91,7 @@ impl Leapme {
         labeled: &[(PropertyPair, bool)],
         cfg: &LeapmeConfig,
     ) -> Result<LeapmeModel, CoreError> {
-        Self::fit_durable(store, labeled, cfg, &DurableFitOptions::default())
+        Self::fit_durable(store, labeled, cfg, &FitControl::default())
     }
 
     /// [`Self::fit`] with durability: optional training checkpoints,
@@ -127,7 +105,7 @@ impl Leapme {
         store: &PropertyFeatureStore,
         labeled: &[(PropertyPair, bool)],
         cfg: &LeapmeConfig,
-        opts: &DurableFitOptions<'_>,
+        ctl: &FitControl<'_>,
     ) -> Result<LeapmeModel, CoreError> {
         if labeled.is_empty() {
             return Err(CoreError::NoTrainingData);
@@ -147,7 +125,7 @@ impl Leapme {
                 &pairs,
                 &cfg.features,
                 leapme_features::worker_threads(),
-                opts.cancel,
+                ctl.cancel,
             )?
             .into_parts();
         let mut x = Matrix::from_vec(n, cols, data);
@@ -160,13 +138,7 @@ impl Leapme {
         sizes.extend_from_slice(&cfg.hidden);
         sizes.push(2);
         let mut net = Mlp::new(&sizes, cfg.seed);
-        let ctl = FitControl {
-            checkpoint_path: opts.checkpoint_path,
-            checkpoint_every: opts.checkpoint_every,
-            resume: opts.resume,
-            cancel: opts.cancel,
-        };
-        net.fit_durable(&x, &labels, &cfg.train, &ctl)?;
+        net.fit_durable(&x, &labels, &cfg.train, ctl)?;
 
         Ok(LeapmeModel {
             net,
@@ -755,7 +727,9 @@ mod tests {
                 .into_parts();
             let mut x = Matrix::from_vec(n, cols, data);
             model.scaler.transform_inplace(&mut x);
-            scores.extend(model.net.predict_proba(&x));
+            model
+                .net
+                .predict_proba_into(&x, &mut ScoreWorkspace::new(), &mut scores);
         }
         scores
     }
@@ -943,7 +917,7 @@ mod tests {
         // epoch; earlier polls belong to the pair fill).
         let polls = AtomicUsize::new(0);
         let cancel = move || polls.fetch_add(1, Ordering::SeqCst) >= 4;
-        let opts = DurableFitOptions {
+        let opts = FitControl {
             checkpoint_path: Some(&ckpt),
             checkpoint_every: 0,
             resume: false,
@@ -959,7 +933,7 @@ mod tests {
             &store,
             &train,
             &cfg,
-            &DurableFitOptions {
+            &FitControl {
                 checkpoint_path: Some(&ckpt),
                 checkpoint_every: 0,
                 resume: true,

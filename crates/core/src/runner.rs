@@ -8,7 +8,7 @@
 
 use crate::journal::RunJournal;
 use crate::metrics::{Metrics, MetricsSummary};
-use crate::pipeline::{DurableFitOptions, Leapme, LeapmeConfig, ScoreOptions};
+use crate::pipeline::{FitControl, Leapme, LeapmeConfig, ScoreOptions};
 use crate::sampling;
 use crate::simgraph::SimilarityGraph;
 use crate::CoreError;
@@ -131,9 +131,9 @@ pub fn run_once_cancellable(
         store,
         &train,
         &leapme_cfg,
-        &DurableFitOptions {
+        &FitControl {
             cancel,
-            ..DurableFitOptions::default()
+            ..FitControl::default()
         },
     )?;
 
@@ -173,7 +173,7 @@ pub fn run_repeated(
     cfg: &RunnerConfig,
 ) -> Result<(MetricsSummary, Vec<RunOutcome>), CoreError> {
     if cfg.repetitions == 0 {
-        return Err(CoreError::InvalidSplit("zero repetitions".into()));
+        return Err(CoreError::InvalidConfig("zero repetitions".into()));
     }
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism()
@@ -280,7 +280,7 @@ pub fn run_repeated_durable(
     cancel: CancelCheck<'_>,
 ) -> Result<(MetricsSummary, Vec<RunOutcome>), CoreError> {
     if cfg.repetitions == 0 {
-        return Err(CoreError::InvalidSplit("zero repetitions".into()));
+        return Err(CoreError::InvalidConfig("zero repetitions".into()));
     }
     let journal = journal_path.map(RunJournal::open).transpose()?;
     let mut done: std::collections::BTreeMap<usize, RunOutcome> = std::collections::BTreeMap::new();
@@ -410,8 +410,9 @@ mod tests {
         let store = PropertyFeatureStore::build(&ds, &EmbeddingStore::new(4));
         let mut cfg = quick_cfg(1);
         cfg.repetitions = 0;
-        assert!(run_repeated(&ds, &store, &cfg).is_err());
-        assert!(run_repeated_durable(&ds, &store, &cfg, None, None).is_err());
+        let zero = |r: Result<_, CoreError>| matches!(r, Err(CoreError::InvalidConfig(_)));
+        assert!(zero(run_repeated(&ds, &store, &cfg)));
+        assert!(zero(run_repeated_durable(&ds, &store, &cfg, None, None)));
     }
 
     fn journal_path(name: &str) -> std::path::PathBuf {

@@ -45,11 +45,12 @@ pub fn transfer_evaluate(
     seed: u64,
 ) -> Result<TransferOutcome, CoreError> {
     if train_store.dim() != test_store.dim() {
-        return Err(CoreError::InvalidSplit(format!(
-            "embedding dims differ: {} vs {}",
-            train_store.dim(),
-            test_store.dim()
-        )));
+        // The model is trained on the training store and scores the test
+        // store, so the test store's dimension must match the model's.
+        return Err(CoreError::DimMismatch {
+            store: test_store.dim(),
+            model: train_store.dim(),
+        });
     }
     let mut rng = StdRng::seed_from_u64(seed);
 
@@ -150,6 +151,6 @@ mod tests {
         let a = PropertyFeatureStore::build(&tvs, &EmbeddingStore::new(4));
         let b = PropertyFeatureStore::build(&hp, &EmbeddingStore::new(8));
         let err = transfer_evaluate(&tvs, &a, &hp, &b, &quick_leapme(), 2, 1).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidSplit(_)));
+        assert!(matches!(err, CoreError::DimMismatch { store: 8, model: 4 }));
     }
 }

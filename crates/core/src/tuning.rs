@@ -59,7 +59,7 @@ pub fn grid_search(
     base: &RunnerConfig,
 ) -> Result<Vec<TunedCandidate>, CoreError> {
     if grid.hidden.is_empty() || grid.schedules.is_empty() {
-        return Err(CoreError::InvalidSplit("empty tuning grid".into()));
+        return Err(CoreError::InvalidConfig("empty tuning grid".into()));
     }
     let mut out = Vec::with_capacity(grid.hidden.len() * grid.schedules.len());
     for hidden in &grid.hidden {
@@ -158,6 +158,9 @@ mod tests {
             hidden: vec![],
             schedules: vec![],
         };
-        assert!(grid_search(&ds, &store, &grid, &RunnerConfig::default()).is_err());
+        assert!(matches!(
+            grid_search(&ds, &store, &grid, &RunnerConfig::default()),
+            Err(CoreError::InvalidConfig(_))
+        ));
     }
 }

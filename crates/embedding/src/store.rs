@@ -9,7 +9,7 @@ use crate::tokenize::tokenize;
 use crate::EmbeddingError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -255,25 +255,24 @@ impl EmbeddingStore {
     }
 
     /// Write in the standard GloVe text format: `word v1 v2 … vD` per line.
+    ///
+    /// The file goes through [`leapme_data::io::atomic_write`]
+    /// (temp sibling, fsync, rename, directory fsync), so an interrupted
+    /// save leaves either the previous file or the new one — never a
+    /// torn vector table (DESIGN.md §9).
     pub fn save_text(&self, path: &Path) -> Result<(), EmbeddingError> {
-        // Write-to-temp + fsync + atomic rename, so an interrupted save
-        // leaves either the previous file or the new one — never a torn
-        // vector table (DESIGN.md §9).
-        let tmp = path.with_extension("txt.tmp");
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = BufWriter::new(file);
+        use std::fmt::Write as _;
+        let mut text = String::new();
         let mut words: Vec<&String> = self.vectors.keys().collect();
         words.sort();
         for word in words {
-            write!(w, "{word}")?;
+            let _ = write!(text, "{word}");
             for v in &self.vectors[word] {
-                write!(w, " {v}")?;
+                let _ = write!(text, " {v}");
             }
-            writeln!(w)?;
+            text.push('\n');
         }
-        w.flush()?;
-        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        std::fs::rename(&tmp, path)?;
+        leapme_data::io::atomic_write(path, text.as_bytes())?;
         Ok(())
     }
 

@@ -31,7 +31,7 @@ use crate::layers::{Activation, Dense};
 use crate::matrix::Matrix;
 use crate::network::Mlp;
 use crate::optim::ParamState;
-use std::io::Write;
+use leapme_data::io::atomic_write;
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -389,30 +389,6 @@ fn container_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Write bytes durably: temp sibling → fsync → atomic rename, then a
-/// best-effort directory sync so the rename itself survives a crash.
-/// Shared with the v2 section container in [`crate::container2`].
-pub(crate) fn atomic_write_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| "checkpoint".into());
-    name.push(".tmp");
-    let tmp = path.with_file_name(name);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
 /// Fault hook: simulate a write failure at `nn.checkpoint.write`. A
 /// `torn` fault leaves a half-written file *at the destination* —
 /// deliberately bypassing the atomic rename — so tests can prove the
@@ -472,7 +448,7 @@ pub fn write_container(path: &Path, kind: u8, payload: &[u8]) -> Result<(), Chec
     if let Some(e) = injected_write_fault(path, &bytes) {
         return Err(CheckpointError::Io(e));
     }
-    atomic_write_bytes(path, &bytes)?;
+    atomic_write(path, &bytes)?;
     Ok(())
 }
 

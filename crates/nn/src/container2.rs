@@ -371,7 +371,7 @@ impl V2Writer {
         if let Some(e) = crate::checkpoint::injected_write_fault(path, &bytes) {
             return Err(CheckpointError::Io(e));
         }
-        crate::checkpoint::atomic_write_bytes(path, &bytes)?;
+        leapme_data::io::atomic_write(path, &bytes)?;
         Ok(())
     }
 }

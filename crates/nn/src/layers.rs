@@ -1,7 +1,7 @@
 //! Dense (fully connected) layers with activations.
 
 use crate::init::Init;
-use crate::matrix::Matrix;
+use crate::matrix::{gated_threads, Matrix};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -48,15 +48,6 @@ pub struct Dense {
     pub bias: Vec<f32>,
     /// Activation applied after the affine transform.
     pub activation: Activation,
-}
-
-/// Cached forward state needed by backprop.
-#[derive(Debug, Clone)]
-pub struct DenseCache {
-    /// The layer input (batch × in_dim).
-    pub input: Matrix,
-    /// The post-activation output (batch × out_dim).
-    pub output: Matrix,
 }
 
 /// Gradients of a dense layer's parameters.
@@ -109,35 +100,11 @@ impl Dense {
         self.weights.rows() * self.weights.cols() + self.bias.len()
     }
 
-    /// Forward pass; returns the output and the cache for backprop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.cols() != self.in_dim()`.
-    pub fn forward(&self, input: &Matrix) -> (Matrix, DenseCache) {
-        let mut out = input.matmul(&self.weights);
-        out.add_row_bias(&self.bias);
-        self.activation.forward_inplace(&mut out);
-        let cache = DenseCache {
-            input: input.clone(),
-            output: out.clone(),
-        };
-        (out, cache)
-    }
-
-    /// Forward pass without caching (inference).
-    pub fn forward_inference(&self, input: &Matrix) -> Matrix {
-        let mut out = input.matmul(&self.weights);
-        out.add_row_bias(&self.bias);
-        self.activation.forward_inplace(&mut out);
-        out
-    }
-
     /// Forward pass writing the post-activation output into a reusable
-    /// matrix. The values are bitwise identical to [`Self::forward`] /
-    /// [`Self::forward_inference`]; no cache is produced — workspace
-    /// callers keep the input and output buffers alive themselves and
-    /// hand them back to [`Self::backward_into`].
+    /// matrix. No cache is produced: callers keep the input and output
+    /// buffers alive themselves and hand them back to
+    /// [`Self::backward_into`]. The product runs at the flop-gated
+    /// thread count (serial below [`crate::matrix::PAR_MIN_FLOPS`]).
     ///
     /// `out` must not alias `input`.
     ///
@@ -145,41 +112,23 @@ impl Dense {
     ///
     /// Panics if `input.cols() != self.in_dim()`.
     pub fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
-        input.matmul_into(&self.weights, out);
+        let flops = input.rows() * input.cols() * self.weights.cols();
+        input.matmul_into(&self.weights, out, gated_threads(flops));
         out.add_row_bias(&self.bias);
         self.activation.forward_inplace(out);
     }
 
-    /// Backward pass.
-    ///
-    /// `grad_out` is ∂L/∂output (batch × out_dim). Returns the parameter
-    /// gradients and ∂L/∂input for the previous layer.
-    pub fn backward(&self, grad_out: &Matrix, cache: &DenseCache) -> (DenseGrads, Matrix) {
-        let mut g = grad_out.clone();
-        self.activation.backward_inplace(&mut g, &cache.output);
-        // dW = xᵀ · g ; db = column sums of g ; dx = g · Wᵀ
-        let d_weights = cache.input.t_matmul(&g);
-        let d_bias = g.column_sums();
-        let d_input = g.matmul_t(&self.weights);
-        (
-            DenseGrads {
-                weights: d_weights,
-                bias: d_bias,
-            },
-            d_input,
-        )
-    }
-
-    /// Backward pass through preallocated buffers; bitwise identical to
-    /// [`Self::backward`].
+    /// Backward pass through preallocated buffers.
     ///
     /// `grad` arrives as ∂L/∂output and is consumed in place (the
     /// activation derivative is applied to it). `input` and `output` are
-    /// the forward buffers that [`DenseCache`] would otherwise have
-    /// cloned (`output` is the *pre-dropout* post-activation output).
-    /// Parameter gradients land in `grads`; ∂L/∂input is written into
-    /// `d_input` when provided (the first layer of a network can skip
-    /// it). None of the buffers may alias each other.
+    /// the layer's forward buffers (`output` is the *pre-dropout*
+    /// post-activation output). Parameter gradients land in `grads`
+    /// (dW = xᵀ · g, db = column sums of g); ∂L/∂input = g · Wᵀ is
+    /// written into `d_input` when provided (the first layer of a
+    /// network can skip it). None of the buffers may alias each other.
+    /// Both products run at the flop-gated thread count, as in
+    /// [`Self::forward_into`].
     pub fn backward_into(
         &self,
         grad: &mut Matrix,
@@ -189,10 +138,12 @@ impl Dense {
         d_input: Option<&mut Matrix>,
     ) {
         self.activation.backward_inplace(grad, output);
-        input.t_matmul_into(grad, &mut grads.weights);
+        let flops = input.rows() * input.cols() * grad.cols();
+        input.t_matmul_into(grad, &mut grads.weights, gated_threads(flops));
         grad.column_sums_into(&mut grads.bias);
         if let Some(d) = d_input {
-            grad.matmul_t_into(&self.weights, d);
+            let flops = grad.rows() * grad.cols() * self.weights.rows();
+            grad.matmul_t_into(&self.weights, d, gated_threads(flops));
         }
     }
 }

@@ -6,13 +6,21 @@
 //! 5 at 1e-4, 5 at 1e-5). No mature pure-Rust ML stack is available
 //! offline, so this crate implements the whole stack from scratch:
 //!
-//! * [`matrix::Matrix`] — row-major `f32` matrices with cache-friendly
-//!   matmul,
+//! * [`matrix::Matrix`] — row-major `f32` matrices with three
+//!   register-blocked, row-partitioned products (`matmul_into`,
+//!   `t_matmul_into`, `matmul_t_into`),
 //! * [`layers`] — dense layers with ReLU / identity activations,
 //! * [`loss`] — softmax cross-entropy (+ numerically stable log-sum-exp),
 //! * [`optim`] — SGD (with momentum), Adam, and AdaGrad,
 //! * [`schedule`] — staged learning-rate schedules,
-//! * [`network::Mlp`] — a multi-layer perceptron with a minibatch trainer.
+//! * [`network::Mlp`] — a multi-layer perceptron with one minibatch
+//!   training loop, `fit_durable` (`fit` calls it with no checkpoint),
+//! * [`workspace`] — the reusable buffers that keep a steady-state
+//!   training step and scoring pass allocation-free.
+//!
+//! Every product and layer step writes into a caller-owned buffer. An
+//! allocating reference implementation exists only in test builds, as
+//! the oracle the unit and property tests compare them to bit for bit.
 //!
 //! # Example: LEAPME's exact classifier configuration
 //!
@@ -20,6 +28,7 @@
 //! use leapme_nn::network::{Mlp, TrainConfig};
 //! use leapme_nn::schedule::LrSchedule;
 //! use leapme_nn::matrix::Matrix;
+//! use leapme_nn::workspace::ScoreWorkspace;
 //!
 //! // A 4-feature toy problem: class = first feature > 0.5.
 //! let x = Matrix::from_rows(&[
@@ -37,7 +46,8 @@
 //!     ..TrainConfig::default()
 //! };
 //! net.fit(&x, &y, &cfg).unwrap();
-//! let probs = net.predict_proba(&x);
+//! let mut probs = Vec::new();
+//! net.predict_proba_into(&x, &mut ScoreWorkspace::new(), &mut probs);
 //! assert!(probs[0] > 0.5 && probs[1] < 0.5);
 //! ```
 
@@ -60,6 +70,8 @@ pub mod loss;
 pub mod matrix;
 pub mod network;
 pub mod optim;
+#[cfg(test)]
+mod oracle;
 pub mod schedule;
 pub mod threads;
 pub mod workspace;

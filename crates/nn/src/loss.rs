@@ -2,22 +2,14 @@
 //!
 //! LEAPME's output layer has two neurons whose softmax gives the
 //! positive-class probability used as the pair similarity score
-//! (paper §IV-D), so the loss module also exposes [`softmax_rows`]
-//! for inference.
+//! (paper §IV-D), so the loss module also exposes
+//! [`softmax_rows_inplace`] for inference.
 
 use crate::matrix::Matrix;
 
-/// Row-wise softmax of `logits`, returned as a new matrix.
+/// Row-wise softmax applied in place.
 ///
 /// Numerically stable: subtracts the row max before exponentiating.
-pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    softmax_rows_inplace(&mut out);
-    out
-}
-
-/// Row-wise softmax applied in place (same arithmetic as
-/// [`softmax_rows`], no allocation).
 pub fn softmax_rows_inplace(m: &mut Matrix) {
     for r in 0..m.rows() {
         let row = m.row_mut(r);
@@ -33,36 +25,13 @@ pub fn softmax_rows_inplace(m: &mut Matrix) {
     }
 }
 
-/// Mean cross-entropy of `logits` against integer `labels`, plus the
-/// gradient ∂L/∂logits (already averaged over the batch).
-///
-/// # Panics
-///
-/// Panics if `labels.len() != logits.rows()` or a label is out of range.
-pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix) {
-    assert_eq!(labels.len(), logits.rows(), "label count mismatch");
-    let n = logits.rows().max(1);
-    let probs = softmax_rows(logits);
-    let mut grad = probs.clone();
-    let mut loss = 0.0f32;
-    for (r, &label) in labels.iter().enumerate() {
-        assert!(label < logits.cols(), "label {label} out of range");
-        let p = probs.get(r, label).max(1e-12);
-        loss -= p.ln();
-        grad.set(r, label, grad.get(r, label) - 1.0);
-    }
-    grad.scale_inplace(1.0 / n as f32);
-    (loss / n as f32, grad)
-}
-
 /// Fused softmax + cross-entropy through a reusable gradient buffer.
 ///
 /// Writes ∂L/∂logits (batch-averaged) into `grad` — reshaped to the
 /// logits' shape, reusing its allocation — and returns the mean loss.
-/// Loss and gradient are bitwise identical to [`softmax_cross_entropy`];
-/// the only difference is that the softmax probabilities are
-/// materialized once, in place, in `grad`, instead of in two fresh
-/// matrices. `grad` must not alias `logits`.
+/// The softmax probabilities are materialized once, in place, in
+/// `grad`; each probability is read for the loss before the label
+/// indicator is subtracted from it. `grad` must not alias `logits`.
 ///
 /// # Panics
 ///
@@ -81,11 +50,6 @@ pub fn softmax_cross_entropy_into(logits: &Matrix, labels: &[usize], grad: &mut 
     }
     grad.scale_inplace(1.0 / n as f32);
     loss / n as f32
-}
-
-/// Mean cross-entropy only (no gradient), for validation monitoring.
-pub fn cross_entropy(logits: &Matrix, labels: &[usize]) -> f32 {
-    softmax_cross_entropy(logits, labels).0
 }
 
 /// Classification accuracy of `logits` against `labels`.
@@ -112,6 +76,7 @@ pub fn accuracy(logits: &Matrix, labels: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{cross_entropy, softmax_cross_entropy, softmax_rows};
     use proptest::prelude::*;
 
     #[test]

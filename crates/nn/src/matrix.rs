@@ -222,18 +222,10 @@ impl Matrix {
         &mut self.data.make_mut()[r * cols..(r + 1) * cols]
     }
 
-    /// A new matrix keeping only the rows whose indices appear in `idx`
-    /// (in `idx` order). Useful for minibatching.
-    pub fn select_rows(&self, idx: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(idx.len(), self.cols);
-        self.select_rows_into(idx, &mut out);
-        out
-    }
-
-    /// [`Self::select_rows`] writing into a reusable matrix: `out` is
-    /// reshaped to `idx.len() × self.cols` (reusing its allocation when
-    /// capacity permits) and filled with the gathered rows. The result is
-    /// identical to [`Self::select_rows`].
+    /// Gather the rows whose indices appear in `idx` (in `idx` order)
+    /// into a reusable matrix — the minibatch gather. `out` is reshaped
+    /// to `idx.len() × self.cols`, reusing its allocation when capacity
+    /// permits.
     pub fn select_rows_into(&self, idx: &[usize], out: &mut Matrix) {
         out.resize_zeroed(idx.len(), self.cols);
         for (i, &r) in idx.iter().enumerate() {
@@ -268,175 +260,82 @@ impl Matrix {
         data.extend_from_slice(src.data.as_slice());
     }
 
-    /// Matrix product `self × rhs`.
-    ///
-    /// Large products (≥ [`PAR_MIN_FLOPS`] multiply–adds) are partitioned
-    /// over output rows across [`threads::thread_count`] worker threads;
-    /// smaller ones run serially on the calling thread. Each output
-    /// element is always accumulated over `k` in ascending order, so the
-    /// result is bitwise identical for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_with_threads(rhs, gated_threads(self.rows * self.cols * rhs.cols))
-    }
-
-    /// [`Self::matmul`] forced onto the calling thread.
-    pub fn matmul_serial(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_with_threads(rhs, 1)
-    }
-
-    /// [`Self::matmul`] with an explicit worker-thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul_with_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into_with_threads(rhs, &mut out, threads);
-        out
-    }
-
-    /// [`Self::matmul`] writing into a reusable output matrix.
+    /// Matrix product `self × rhs` into a reusable output matrix.
     ///
     /// `out` is reshaped to `self.rows × rhs.cols` (reusing its
-    /// allocation when capacity permits); the values are bitwise
-    /// identical to [`Self::matmul`]. `out` must not alias an operand.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_into_with_threads(rhs, out, gated_threads(self.rows * self.cols * rhs.cols));
-    }
-
-    /// [`Self::matmul_into`] with an explicit worker-thread count.
+    /// allocation when capacity permits) and must not alias an operand.
+    /// With `threads > 1` the output rows are partitioned across that
+    /// many scoped worker threads; each output element is always
+    /// accumulated over `k` in ascending order, so the result is bitwise
+    /// identical for every thread count. The layers pass the count the
+    /// crate's flop gate picks: 1 below [`PAR_MIN_FLOPS`], else
+    /// [`crate::threads::thread_count`].
     ///
     /// # Panics
     ///
     /// Panics if `self.cols != rhs.rows`.
-    pub fn matmul_into_with_threads(&self, rhs: &Matrix, out: &mut Matrix, threads: usize) {
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix, threads: usize) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: {}x{} × {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         out.resize_zeroed(self.rows, rhs.cols);
-        run_row_partitioned(self.rows, rhs.cols, out.data.make_mut(), threads, |start, chunk| {
-            matmul_rows(self, rhs, start, chunk)
-        });
+        run_row_partitioned(
+            self.rows,
+            rhs.cols,
+            out.data.make_mut(),
+            threads,
+            |start, chunk| matmul_rows(self, rhs, start, chunk),
+        );
     }
 
-    /// `selfᵀ × rhs` without materializing the transpose.
-    ///
-    /// Threaded and deterministic under the same policy as
-    /// [`Self::matmul`]: output rows are partitioned, and each element is
-    /// reduced over the shared dimension in ascending order.
+    /// `selfᵀ × rhs` into a reusable output matrix, without
+    /// materializing the transpose. Threaded and deterministic under the
+    /// same policy as [`Self::matmul_into`]: output rows are partitioned,
+    /// and each element is reduced over the shared dimension in
+    /// ascending order.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows != rhs.rows`.
-    pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
-        self.t_matmul_with_threads(rhs, gated_threads(self.rows * self.cols * rhs.cols))
-    }
-
-    /// [`Self::t_matmul`] forced onto the calling thread.
-    pub fn t_matmul_serial(&self, rhs: &Matrix) -> Matrix {
-        self.t_matmul_with_threads(rhs, 1)
-    }
-
-    /// [`Self::t_matmul`] with an explicit worker-thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != rhs.rows`.
-    pub fn t_matmul_with_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.t_matmul_into_with_threads(rhs, &mut out, threads);
-        out
-    }
-
-    /// [`Self::t_matmul`] writing into a reusable output matrix; bitwise
-    /// identical values. `out` must not alias an operand.
-    pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.t_matmul_into_with_threads(rhs, out, gated_threads(self.rows * self.cols * rhs.cols));
-    }
-
-    /// [`Self::t_matmul_into`] with an explicit worker-thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != rhs.rows`.
-    pub fn t_matmul_into_with_threads(&self, rhs: &Matrix, out: &mut Matrix, threads: usize) {
+    pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix, threads: usize) {
         assert_eq!(
             self.rows, rhs.rows,
             "t_matmul shape mismatch: {}x{} vs {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         out.resize_zeroed(self.cols, rhs.cols);
-        run_row_partitioned(self.cols, rhs.cols, out.data.make_mut(), threads, |start, chunk| {
-            t_matmul_rows(self, rhs, start, chunk)
-        });
+        run_row_partitioned(
+            self.cols,
+            rhs.cols,
+            out.data.make_mut(),
+            threads,
+            |start, chunk| t_matmul_rows(self, rhs, start, chunk),
+        );
     }
 
-    /// `self × rhsᵀ` without materializing the transpose.
-    ///
-    /// Threaded and deterministic under the same policy as
-    /// [`Self::matmul`].
+    /// `self × rhsᵀ` into a reusable output matrix, without
+    /// materializing the transpose. Threaded and deterministic under the
+    /// same policy as [`Self::matmul_into`].
     ///
     /// # Panics
     ///
     /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_t_with_threads(rhs, gated_threads(self.rows * self.cols * rhs.rows))
-    }
-
-    /// [`Self::matmul_t`] forced onto the calling thread.
-    pub fn matmul_t_serial(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_t_with_threads(rhs, 1)
-    }
-
-    /// [`Self::matmul_t`] with an explicit worker-thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_t_with_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_t_into_with_threads(rhs, &mut out, threads);
-        out
-    }
-
-    /// [`Self::matmul_t`] writing into a reusable output matrix; bitwise
-    /// identical values. `out` must not alias an operand.
-    pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_t_into_with_threads(rhs, out, gated_threads(self.rows * self.cols * rhs.rows));
-    }
-
-    /// [`Self::matmul_t_into`] with an explicit worker-thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    pub fn matmul_t_into_with_threads(&self, rhs: &Matrix, out: &mut Matrix, threads: usize) {
+    pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix, threads: usize) {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_t shape mismatch: {}x{} vs {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         out.resize_zeroed(self.rows, rhs.rows);
-        run_row_partitioned(self.rows, rhs.rows, out.data.make_mut(), threads, |start, chunk| {
-            matmul_t_rows(self, rhs, start, chunk)
-        });
-    }
-
-    /// The transpose as a new matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.set(j, i, self.get(i, j));
-            }
-        }
-        out
+        run_row_partitioned(
+            self.rows,
+            rhs.rows,
+            out.data.make_mut(),
+            threads,
+            |start, chunk| matmul_t_rows(self, rhs, start, chunk),
+        );
     }
 
     /// Add `bias` (length = cols) to every row in place.
@@ -453,14 +352,7 @@ impl Matrix {
         }
     }
 
-    /// Sum over rows, producing a length-`cols` vector.
-    pub fn column_sums(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.column_sums_into(&mut out);
-        out
-    }
-
-    /// [`Self::column_sums`] writing into a reusable vector (cleared and
+    /// Sum over rows into a reusable length-`cols` vector (cleared and
     /// refilled, reusing its allocation when capacity permits).
     pub fn column_sums_into(&self, out: &mut Vec<f32>) {
         out.clear();
@@ -522,7 +414,10 @@ impl Matrix {
 /// pays off on the LEAPME workload.
 pub const PAR_MIN_FLOPS: usize = 1 << 20;
 
-fn gated_threads(flops: usize) -> usize {
+/// Worker threads for a product of `flops` multiply–adds: 1 below
+/// [`PAR_MIN_FLOPS`], else [`crate::threads::thread_count`] (re-read from
+/// `LEAPME_THREADS` on every call).
+pub(crate) fn gated_threads(flops: usize) -> usize {
     if flops < PAR_MIN_FLOPS {
         1
     } else {
@@ -783,20 +678,21 @@ mod tests {
             let b = Matrix::from_vec(shared, b_cols, (0..shared * b_cols).map(|_| next()).collect());
 
             // matmul: serial vs explicit thread counts, bit for bit.
-            let serial = a.matmul_serial(&b);
-            let par = a.matmul_with_threads(&b, threads);
+            let (mut serial, mut par) = (Matrix::default(), Matrix::default());
+            a.matmul_into(&b, &mut serial, 1);
+            a.matmul_into(&b, &mut par, threads);
             prop_assert_eq!(serial.data(), par.data());
 
             // t_matmul: aᵀ shares its row count with b.
             let at = a.transpose();
-            let serial = at.t_matmul_serial(&b);
-            let par = at.t_matmul_with_threads(&b, threads);
+            at.t_matmul_into(&b, &mut serial, 1);
+            at.t_matmul_into(&b, &mut par, threads);
             prop_assert_eq!(serial.data(), par.data());
 
             // matmul_t: b fed transposed so the shared dims line up.
             let bt = b.transpose();
-            let serial = a.matmul_t_serial(&bt);
-            let par = a.matmul_t_with_threads(&bt, threads);
+            a.matmul_t_into(&bt, &mut serial, 1);
+            a.matmul_t_into(&bt, &mut par, threads);
             prop_assert_eq!(serial.data(), par.data());
         }
 
@@ -805,8 +701,9 @@ mod tests {
             let data: Vec<f32> = (0..rows * cols).map(|i| i as f32 + 1.0).collect();
             let a = Matrix::from_vec(rows, cols, data);
             let b = a.transpose();
-            let serial = a.matmul_serial(&b);
-            let par = a.matmul_with_threads(&b, 64);
+            let (mut serial, mut par) = (Matrix::default(), Matrix::default());
+            a.matmul_into(&b, &mut serial, 1);
+            a.matmul_into(&b, &mut par, 64);
             prop_assert_eq!(serial.data(), par.data());
         }
     }
@@ -818,7 +715,9 @@ mod tests {
         let a = Matrix::zeros(3, 0);
         let b = Matrix::zeros(0, 2);
         assert_eq!(a.matmul(&b).shape(), (3, 2));
-        assert_eq!(a.matmul_with_threads(&b, 4).shape(), (3, 2));
+        let mut out = Matrix::default();
+        a.matmul_into(&b, &mut out, 4);
+        assert_eq!(out.shape(), (3, 2));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! a staged [`crate::schedule::LrSchedule`].
 
 use crate::init::Init;
-use crate::layers::{Activation, Dense, DenseCache};
-use crate::loss::{accuracy, softmax_cross_entropy, softmax_cross_entropy_into, softmax_rows};
+use crate::layers::{Activation, Dense};
+use crate::loss::{accuracy, softmax_cross_entropy_into};
 use crate::matrix::Matrix;
 use crate::optim::{Optimizer, ParamState};
 use crate::schedule::LrSchedule;
@@ -107,8 +107,8 @@ impl Default for TrainConfig {
 
 /// Durability and cancellation controls for [`Mlp::fit_durable`].
 ///
-/// The default control (no checkpoint path, no cancellation) makes
-/// `fit_durable` behave exactly — bitwise — like [`Mlp::fit`].
+/// The default control (no checkpoint path, no cancellation) is what
+/// [`Mlp::fit`] passes.
 #[derive(Default)]
 pub struct FitControl<'a> {
     /// Where to persist mid-schedule training state; `None` disables
@@ -229,24 +229,10 @@ impl Mlp {
         &self.layers
     }
 
-    /// Forward pass producing raw logits (no softmax).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != self.input_dim()`.
-    pub fn logits(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.input_dim(), "input width mismatch");
-        let mut h = x.clone();
-        for layer in &self.layers {
-            h = layer.forward_inference(&h);
-        }
-        h
-    }
-
-    /// Forward pass producing raw logits through a reusable workspace;
-    /// bitwise identical to [`Self::logits`] but allocation-free once
-    /// the workspace buffers are warm. The returned reference points at
-    /// the workspace's final-layer activation buffer.
+    /// Forward pass producing raw logits (no softmax) through a reusable
+    /// workspace; allocation-free once the workspace buffers are warm.
+    /// The returned reference points at the workspace's final-layer
+    /// activation buffer.
     ///
     /// # Panics
     ///
@@ -264,9 +250,9 @@ impl Mlp {
         ws.act.last().expect("network has layers")
     }
 
-    /// Append the probability of class 1 for each row of `x` to `out`,
-    /// reusing workspace buffers; bitwise identical to
-    /// [`Self::predict_proba`]. Appending (rather than overwriting) lets
+    /// Append the probability of class 1 ("match") for each row of `x`
+    /// to `out` — LEAPME's similarity score (paper §IV-D) — reusing
+    /// workspace buffers. Appending (rather than overwriting) lets
     /// streaming callers accumulate scores across fixed-size chunks.
     ///
     /// # Panics
@@ -283,39 +269,22 @@ impl Mlp {
         }
     }
 
-    /// Row-wise class probabilities.
-    pub fn predict_proba_matrix(&self, x: &Matrix) -> Matrix {
-        softmax_rows(&self.logits(x))
+    /// Train with minibatch gradient descent per the config's schedule:
+    /// [`Self::fit_durable`] with no checkpoint and no cancellation.
+    pub fn fit(
+        &mut self,
+        x: &Matrix,
+        labels: &[usize],
+        cfg: &TrainConfig,
+    ) -> Result<TrainReport, NnError> {
+        self.fit_durable(x, labels, cfg, &FitControl::default())
     }
 
-    /// Probability of class 1 ("match") for each row — LEAPME's similarity
-    /// score (paper §IV-D).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network does not have ≥ 2 output classes.
-    pub fn predict_proba(&self, x: &Matrix) -> Vec<f32> {
-        assert!(self.output_dim() >= 2, "need ≥2 classes for positive prob");
-        let p = self.predict_proba_matrix(x);
-        (0..p.rows()).map(|r| p.get(r, 1)).collect()
-    }
-
-    /// Argmax class predictions.
-    pub fn predict(&self, x: &Matrix) -> Vec<usize> {
-        let p = self.logits(x);
-        (0..p.rows())
-            .map(|r| {
-                p.row(r)
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect()
-    }
-
-    /// Train with minibatch gradient descent per the config's schedule.
+    /// Train with minibatch gradient descent per the config's schedule,
+    /// with durability: periodic resumable checkpoints,
+    /// resume-from-checkpoint, and cooperative cancellation at every
+    /// epoch boundary. This is the one training loop; [`Self::fit`] is
+    /// this call with a default [`FitControl`].
     ///
     /// Returns per-epoch telemetry. Errors if `x` is empty, label counts
     /// mismatch, a label is out of range, or the input width is wrong.
@@ -325,46 +294,50 @@ impl Mlp {
     /// yields [`NnError::NonFiniteLoss`] instead of propagating NaN
     /// weights.
     ///
-    /// This is the workspace-backed fast path: all per-batch buffers live
-    /// in a [`TrainWorkspace`] created once per call, so the steady-state
-    /// training step performs zero heap allocations. Results are bitwise
-    /// identical to the allocating [`Self::fit_reference`]. To amortize
-    /// the warm-up allocations across repeated fits, create the workspace
-    /// yourself and call [`Self::fit_with_workspace`].
-    pub fn fit(
+    /// All per-batch buffers live in one workspace created per call, so
+    /// the steady-state training step performs zero heap allocations.
+    /// Results are bitwise identical to the allocating reference trainer
+    /// the test suite keeps as its oracle.
+    ///
+    /// When `ctl.checkpoint_path` is set, the complete training state —
+    /// weights, optimizer moments, RNG state, epoch order, LR-stage
+    /// position, and telemetry so far — is persisted atomically every
+    /// `checkpoint_every` epochs (and on cancellation), so a killed run
+    /// resumed with `ctl.resume` finishes with a model bitwise identical
+    /// to an uninterrupted run. The checkpoint file is deleted once
+    /// training completes.
+    ///
+    /// Cancellation returns [`NnError::Cancelled`] after writing the
+    /// checkpoint (when a path is configured). A checkpoint recorded for
+    /// different inputs, seed, schedule, or architecture is rejected
+    /// with [`NnError::Checkpoint`] instead of silently training the
+    /// wrong run.
+    pub fn fit_durable(
         &mut self,
         x: &Matrix,
         labels: &[usize],
         cfg: &TrainConfig,
+        ctl: &FitControl<'_>,
     ) -> Result<TrainReport, NnError> {
-        let mut ws = TrainWorkspace::new();
-        self.fit_with_workspace(x, labels, cfg, &mut ws)
-    }
+        use crate::checkpoint::{labels_crc, TrainFingerprint, TrainState};
 
-    /// [`Self::fit`] with a caller-provided workspace, reusing its
-    /// buffers across calls.
-    pub fn fit_with_workspace(
-        &mut self,
-        x: &Matrix,
-        labels: &[usize],
-        cfg: &TrainConfig,
-        ws: &mut TrainWorkspace,
-    ) -> Result<TrainReport, NnError> {
+        let mut ws = TrainWorkspace::new();
         self.check_fit_inputs(x, labels)?;
         if self.states.len() != self.layers.len() {
             self.states = self.layers.iter().map(|_| LayerState::default()).collect();
         }
         ws.ensure_layers(self.layers.len());
-        ws.checkpoint_valid = false;
 
         let batch = cfg.batch_size.max(1);
         let mut rng = StdRng::seed_from_u64(cfg.shuffle_seed);
         let mut report = TrainReport::default();
 
-        // Optional validation split for early stopping. The rng is
-        // consumed in exactly the reference order (full shuffle, then
-        // per-epoch shuffles, then dropout masks) so every downstream
-        // draw matches bitwise.
+        // Deterministic prefix, re-derived on resume too (the initial
+        // full shuffle and the validation split depend only on
+        // `cfg.shuffle_seed`), after which the saved RNG/order state
+        // overwrite the fresh ones. The rng is consumed in exactly the
+        // reference order (full shuffle, then per-epoch shuffles, then
+        // dropout masks) so every downstream draw matches bitwise.
         let mut all: Vec<usize> = (0..x.rows()).collect();
         all.shuffle(&mut rng);
         let val_fraction = cfg.validation_fraction.clamp(0.0, 0.5);
@@ -389,167 +362,7 @@ impl Mlp {
         // so a rolled-back epoch replays the exact same shuffle and
         // dropout draws at the stepped-down rate). When every loss stays
         // finite the checkpoints are never read and `lr_scale` stays
-        // exactly 1.0, keeping this path bitwise identical to
-        // [`Self::fit_reference`].
-        let stages: Vec<(usize, f32)> = cfg.schedule.iter().collect();
-        let mut lr_scale: f32 = 1.0;
-        let mut retries_left = cfg.max_loss_retries;
-        let mut good_layers: Vec<Dense> = Vec::new();
-        let mut good_states: Vec<LayerState> = Vec::new();
-        let mut good_order: Vec<usize> = Vec::new();
-
-        let mut stage = 0usize;
-        while stage < stages.len() {
-            let (epoch, base_lr) = stages[stage];
-            workspace::copy_layers_into(&mut good_layers, &self.layers);
-            good_states.clone_from(&self.states);
-            good_order.clone_from(&order);
-            let good_rng = rng.clone();
-
-            order.shuffle(&mut rng);
-            let lr = base_lr * lr_scale;
-            let mut epoch_loss = 0.0f32;
-            let mut batches = 0usize;
-            for chunk in order.chunks(batch) {
-                x.select_rows_into(chunk, &mut ws.batch_x);
-                ws.batch_y.clear();
-                ws.batch_y.extend(chunk.iter().map(|&i| labels[i]));
-                #[allow(unused_mut)]
-                let mut loss = self.train_step_ws(lr, cfg, &mut rng, ws);
-                #[cfg(feature = "faults")]
-                if leapme_faults::fires(leapme_faults::sites::NN_LOSS)
-                    == Some(leapme_faults::FaultKind::Nan)
-                {
-                    loss = f32::NAN;
-                }
-                epoch_loss += loss;
-                batches += 1;
-                if !epoch_loss.is_finite() {
-                    // The weights are already poisoned; finishing the
-                    // epoch would only deepen the damage.
-                    break;
-                }
-            }
-            // The loss clamps probabilities at 1e-12 before the log
-            // (and `f32::max(NaN, x)` is `x`), so a poisoned network can
-            // still report a finite loss — also scan the parameters.
-            if !epoch_loss.is_finite() || !self.params_finite() {
-                if retries_left == 0 {
-                    return Err(NnError::NonFiniteLoss {
-                        epoch,
-                        retries: cfg.max_loss_retries,
-                    });
-                }
-                retries_left -= 1;
-                report.recoveries += 1;
-                workspace::copy_layers_into(&mut self.layers, &good_layers);
-                self.states.clone_from(&good_states);
-                order.clone_from(&good_order);
-                rng = good_rng;
-                lr_scale *= cfg.lr_backoff.clamp(0.0, 1.0);
-                continue;
-            }
-            report.epoch_losses.push(epoch_loss / batches.max(1) as f32);
-
-            if has_val {
-                let val_loss = {
-                    let TrainWorkspace {
-                        val_x,
-                        val_grad,
-                        score,
-                        ..
-                    } = &mut *ws;
-                    let logits = self.logits_into(val_x, score);
-                    softmax_cross_entropy_into(logits, &val_y, val_grad)
-                };
-                report.validation_losses.push(val_loss);
-                if val_loss < best_val {
-                    best_val = val_loss;
-                    workspace::copy_layers_into(&mut ws.checkpoint, &self.layers);
-                    ws.checkpoint_valid = true;
-                    since_best = 0;
-                } else {
-                    since_best += 1;
-                    if since_best >= cfg.patience.max(1) {
-                        report.stopped_early = true;
-                        break;
-                    }
-                }
-            }
-            stage += 1;
-        }
-        if ws.checkpoint_valid {
-            workspace::copy_layers_into(&mut self.layers, &ws.checkpoint);
-        }
-        report.final_accuracy = {
-            let logits = self.logits_into(x, &mut ws.score);
-            accuracy(logits, labels)
-        };
-        Ok(report)
-    }
-
-    /// Train like [`Self::fit`], with durability: periodic resumable
-    /// checkpoints, resume-from-checkpoint, and cooperative cancellation
-    /// at every epoch boundary.
-    ///
-    /// With a default [`FitControl`] this is bitwise identical to
-    /// [`Self::fit`]. When `ctl.checkpoint_path` is set, the complete
-    /// training state — weights, optimizer moments, RNG state, epoch
-    /// order, LR-stage position, and telemetry so far — is persisted
-    /// atomically every `checkpoint_every` epochs (and on cancellation),
-    /// so a killed run resumed with `ctl.resume` finishes with a model
-    /// bitwise identical to an uninterrupted run. The checkpoint file is
-    /// deleted once training completes.
-    ///
-    /// Cancellation returns [`NnError::Cancelled`] after writing the
-    /// checkpoint (when a path is configured). A checkpoint recorded for
-    /// different inputs, seed, schedule, or architecture is rejected
-    /// with [`NnError::Checkpoint`] instead of silently training the
-    /// wrong run.
-    pub fn fit_durable(
-        &mut self,
-        x: &Matrix,
-        labels: &[usize],
-        cfg: &TrainConfig,
-        ctl: &FitControl<'_>,
-    ) -> Result<TrainReport, NnError> {
-        use crate::checkpoint::{labels_crc, TrainFingerprint, TrainState};
-
-        let mut ws = TrainWorkspace::new();
-        self.check_fit_inputs(x, labels)?;
-        if self.states.len() != self.layers.len() {
-            self.states = self.layers.iter().map(|_| LayerState::default()).collect();
-        }
-        ws.ensure_layers(self.layers.len());
-        ws.checkpoint_valid = false;
-
-        let batch = cfg.batch_size.max(1);
-        let mut rng = StdRng::seed_from_u64(cfg.shuffle_seed);
-        let mut report = TrainReport::default();
-
-        // Deterministic prefix: identical to `fit_with_workspace`, and
-        // re-derived on resume too (the initial full shuffle and the
-        // validation split depend only on `cfg.shuffle_seed`), after
-        // which the saved RNG/order state overwrite the fresh ones.
-        let mut all: Vec<usize> = (0..x.rows()).collect();
-        all.shuffle(&mut rng);
-        let val_fraction = cfg.validation_fraction.clamp(0.0, 0.5);
-        let n_val = if val_fraction > 0.0 {
-            ((x.rows() as f32 * val_fraction) as usize).min(x.rows().saturating_sub(1))
-        } else {
-            0
-        };
-        let (val_idx, train_idx) = all.split_at(n_val);
-        let has_val = !val_idx.is_empty();
-        if has_val {
-            x.select_rows_into(val_idx, &mut ws.val_x);
-        }
-        let val_y: Vec<usize> = val_idx.iter().map(|&i| labels[i]).collect();
-        let mut order: Vec<usize> = train_idx.to_vec();
-
-        let mut best_val = f32::INFINITY;
-        let mut since_best = 0usize;
-
+        // exactly 1.0.
         let stages: Vec<(usize, f32)> = cfg.schedule.iter().collect();
         let mut lr_scale: f32 = 1.0;
         let mut retries_left = cfg.max_loss_retries;
@@ -668,9 +481,14 @@ impl Mlp {
                 epoch_loss += loss;
                 batches += 1;
                 if !epoch_loss.is_finite() {
+                    // The weights are already poisoned; finishing the
+                    // epoch would only deepen the damage.
                     break;
                 }
             }
+            // The loss clamps probabilities at 1e-12 before the log
+            // (and `f32::max(NaN, x)` is `x`), so a poisoned network can
+            // still report a finite loss — also scan the parameters.
             if !epoch_loss.is_finite() || !self.params_finite() {
                 if retries_left == 0 {
                     return Err(NnError::NonFiniteLoss {
@@ -732,7 +550,7 @@ impl Mlp {
 
     /// One allocation-free forward/backward/update step on the minibatch
     /// currently gathered in the workspace (`batch_x`/`batch_y`); returns
-    /// the loss. Bitwise identical to the reference `train_step`.
+    /// the loss.
     fn train_step_ws(
         &mut self,
         lr: f32,
@@ -758,8 +576,7 @@ impl Mlp {
 
         // Forward: post-activation outputs land in `act[idx]`; when
         // dropout is on, the masked copy lands in `dropped[idx]` so the
-        // pre-dropout output survives for the ReLU backward pass (the
-        // role `DenseCache.output` plays in the reference path).
+        // pre-dropout output survives for the ReLU backward pass.
         for (idx, layer) in self.layers.iter().enumerate() {
             let (before, rest) = act.split_at_mut(idx);
             let out = &mut rest[0];
@@ -833,7 +650,7 @@ impl Mlp {
     }
 
     /// Validate `fit` inputs against the network's shape.
-    fn check_fit_inputs(&self, x: &Matrix, labels: &[usize]) -> Result<(), NnError> {
+    pub(crate) fn check_fit_inputs(&self, x: &Matrix, labels: &[usize]) -> Result<(), NnError> {
         if x.rows() == 0 {
             return Err(NnError::EmptyTrainingSet);
         }
@@ -857,131 +674,6 @@ impl Mlp {
             });
         }
         Ok(())
-    }
-
-    /// The original allocating trainer, kept verbatim as the equivalence
-    /// oracle for [`Self::fit`] — the proptest suite asserts both paths
-    /// produce bitwise-identical weights, reports, and predictions.
-    pub fn fit_reference(
-        &mut self,
-        x: &Matrix,
-        labels: &[usize],
-        cfg: &TrainConfig,
-    ) -> Result<TrainReport, NnError> {
-        self.check_fit_inputs(x, labels)?;
-        if self.states.len() != self.layers.len() {
-            self.states = self.layers.iter().map(|_| LayerState::default()).collect();
-        }
-
-        let batch = cfg.batch_size.max(1);
-        let mut rng = StdRng::seed_from_u64(cfg.shuffle_seed);
-        let mut report = TrainReport::default();
-
-        // Optional validation split for early stopping.
-        let mut all: Vec<usize> = (0..x.rows()).collect();
-        all.shuffle(&mut rng);
-        let val_fraction = cfg.validation_fraction.clamp(0.0, 0.5);
-        let n_val = if val_fraction > 0.0 {
-            ((x.rows() as f32 * val_fraction) as usize).min(x.rows().saturating_sub(1))
-        } else {
-            0
-        };
-        let (val_idx, train_idx) = all.split_at(n_val);
-        let val_x = (!val_idx.is_empty()).then(|| x.select_rows(val_idx));
-        let val_y: Vec<usize> = val_idx.iter().map(|&i| labels[i]).collect();
-        let mut order: Vec<usize> = train_idx.to_vec();
-
-        let mut best_val = f32::INFINITY;
-        let mut best_layers: Option<Vec<Dense>> = None;
-        let mut since_best = 0usize;
-
-        for (_epoch, lr) in cfg.schedule.iter() {
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0f32;
-            let mut batches = 0usize;
-            for chunk in order.chunks(batch) {
-                let bx = x.select_rows(chunk);
-                let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-                epoch_loss += self.train_step(&bx, &by, lr, cfg, &mut rng);
-                batches += 1;
-            }
-            report.epoch_losses.push(epoch_loss / batches.max(1) as f32);
-
-            if let Some(vx) = &val_x {
-                let val_loss = crate::loss::cross_entropy(&self.logits(vx), &val_y);
-                report.validation_losses.push(val_loss);
-                if val_loss < best_val {
-                    best_val = val_loss;
-                    best_layers = Some(self.layers.clone());
-                    since_best = 0;
-                } else {
-                    since_best += 1;
-                    if since_best >= cfg.patience.max(1) {
-                        report.stopped_early = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some(best) = best_layers {
-            self.layers = best;
-        }
-        report.final_accuracy = accuracy(&self.logits(x), labels);
-        Ok(report)
-    }
-
-    /// One forward/backward/update step on a minibatch; returns the loss.
-    fn train_step(
-        &mut self,
-        bx: &Matrix,
-        by: &[usize],
-        lr: f32,
-        cfg: &TrainConfig,
-        rng: &mut StdRng,
-    ) -> f32 {
-        use rand::Rng;
-        let opt = &cfg.optimizer;
-        let n_layers = self.layers.len();
-        let keep = 1.0 - cfg.dropout.clamp(0.0, 0.95);
-
-        // Forward with caches; inverted dropout on hidden activations.
-        let mut caches: Vec<DenseCache> = Vec::with_capacity(n_layers);
-        let mut masks: Vec<Option<Matrix>> = vec![None; n_layers];
-        let mut h = bx.clone();
-        for (idx, layer) in self.layers.iter().enumerate() {
-            let (mut out, cache) = layer.forward(&h);
-            caches.push(cache);
-            if cfg.dropout > 0.0 && idx + 1 < n_layers {
-                let mut mask = Matrix::zeros(out.rows(), out.cols());
-                for v in mask.data_mut() {
-                    *v = if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 };
-                }
-                out.hadamard_inplace(&mask);
-                masks[idx] = Some(mask);
-            }
-            h = out;
-        }
-        let (loss, mut grad) = softmax_cross_entropy(&h, by);
-
-        // Backward and update layer by layer (output → input). `grad`
-        // arriving at layer `idx` is ∂L/∂(dropped output); undo the mask
-        // to get ∂L/∂output before the layer's own backward pass.
-        for (idx, layer) in self.layers.iter_mut().enumerate().rev() {
-            if let Some(mask) = &masks[idx] {
-                grad.hadamard_inplace(mask);
-            }
-            let (mut grads, d_input) = layer.backward(&grad, &caches[idx]);
-            if cfg.weight_decay > 0.0 {
-                grads.weights.axpy_inplace(cfg.weight_decay, &layer.weights);
-            }
-            let state = &mut self.states[idx];
-            state
-                .weights
-                .update(opt, lr, layer.weights.data_mut(), grads.weights.data());
-            state.bias.update(opt, lr, &mut layer.bias, &grads.bias);
-            grad = d_input;
-        }
-        loss
     }
 }
 
@@ -1434,29 +1126,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_reuse_across_fits_is_clean() {
-        // A stale checkpoint or buffer from a previous fit must not leak
-        // into the next one, even across different configs.
-        let (x, y) = xor_data();
-        let cfg_es = TrainConfig {
-            validation_fraction: 0.25,
-            patience: 1,
-            schedule: LrSchedule::new(vec![(30, 0.01)]),
-            ..TrainConfig::default()
-        };
-        let mut ws = TrainWorkspace::new();
-        let mut warm = Mlp::new(&[2, 8, 2], 14);
-        warm.fit_with_workspace(&x, &y, &cfg_es, &mut ws).unwrap();
-        // Now run a no-validation fit through the same workspace.
-        let mut a = Mlp::new(&[2, 8, 2], 15);
-        let mut b = a.clone();
-        let cfg = TrainConfig::default();
-        a.fit_with_workspace(&x, &y, &cfg, &mut ws).unwrap();
-        b.fit_reference(&x, &y, &cfg).unwrap();
-        assert_eq!(a.predict_proba(&x), b.predict_proba(&x));
-    }
-
-    #[test]
     fn workspace_fit_matches_reference_across_thread_counts() {
         // Shapes chosen so the first-layer matmul crosses PAR_MIN_FLOPS
         // (64 × 96 × 192 ≈ 1.2 M multiply–adds) and the kernels actually
@@ -1592,29 +1261,6 @@ mod tests {
             for (la, lb) in a.layers().iter().zip(b.layers()) {
                 assert_eq!(la.weights, lb.weights);
                 assert_eq!(la.bias, lb.bias);
-            }
-        }
-
-        #[test]
-        fn durable_fit_matches_fit_bitwise() {
-            let (x, y) = xor_data();
-            for cfg in [
-                TrainConfig::default(),
-                TrainConfig {
-                    dropout: 0.3,
-                    validation_fraction: 0.25,
-                    patience: 2,
-                    ..TrainConfig::default()
-                },
-            ] {
-                let mut a = Mlp::new(&[2, 8, 4, 2], 31);
-                let mut b = a.clone();
-                let ra = a.fit(&x, &y, &cfg).unwrap();
-                let rb = b.fit_durable(&x, &y, &cfg, &FitControl::default()).unwrap();
-                assert_eq!(ra.epoch_losses, rb.epoch_losses);
-                assert_eq!(ra.validation_losses, rb.validation_losses);
-                assert_eq!(ra.final_accuracy, rb.final_accuracy);
-                assert_same_net(&a, &b);
             }
         }
 

@@ -3,38 +3,38 @@
 //! The LEAPME hot loop runs the same small network over millions of
 //! minibatches and pair blocks; re-allocating every activation, cache,
 //! gradient, and dropout-mask matrix per step dominated the allocator
-//! profile. A [`TrainWorkspace`] (for `Mlp::fit`) or [`ScoreWorkspace`]
-//! (for inference) owns every buffer the step needs; buffers are sized
-//! lazily on first use and reused afterwards, so a steady-state
-//! `train_step` / `predict_proba_into` performs **zero heap
-//! allocations** (see the `alloc-count`-gated regression test).
+//! profile. The crate-private `TrainWorkspace` (created once per
+//! `Mlp::fit_durable` call) and the public [`ScoreWorkspace`] (for
+//! inference) own every buffer a step needs; buffers are sized lazily
+//! on first use and reused afterwards, so a steady-state training step
+//! or `predict_proba_into` call performs **zero heap allocations** (see
+//! the `alloc-count`-gated regression tests).
 //!
 //! # Buffer lifetimes and aliasing
 //!
-//! All `_into` methods (`Matrix::matmul_into`, `Dense::forward_into`,
-//! `Dense::backward_into`, `softmax_cross_entropy_into`) require that
-//! the output buffer does not alias any input operand. The workspaces
-//! guarantee this structurally: each layer index owns disjoint
-//! activation (`act`), post-dropout (`dropped`), gradient (`d_act`),
-//! mask, and parameter-gradient buffers, and the layer-`idx` step only
-//! ever writes buffer `idx` while reading buffer `idx − 1` (forward) or
+//! All `_into` methods (`Matrix::{matmul_into, t_matmul_into,
+//! matmul_t_into}`, `Dense::forward_into`, `Dense::backward_into`,
+//! `softmax_cross_entropy_into`) require that the output buffer does
+//! not alias any input operand. The workspaces guarantee this
+//! structurally: each layer index owns disjoint activation (`act`),
+//! post-dropout (`dropped`), gradient (`d_act`), mask, and
+//! parameter-gradient buffers, and the layer-`idx` step only ever
+//! writes buffer `idx` while reading buffer `idx − 1` (forward) or
 //! `idx − 1`/`idx` (backward).
 
 use crate::layers::{Dense, DenseGrads};
 use crate::matrix::Matrix;
 
-/// Preallocated buffers for one training loop (`Mlp::fit`).
+/// Preallocated buffers for one training loop (`Mlp::fit_durable`,
+/// which creates one per call).
 ///
-/// Create once and pass to `Mlp::fit_with_workspace` — or let `Mlp::fit`
-/// create one internally — and reuse across calls to amortize the very
-/// first allocation too. The workspace holds, per layer: the
-/// post-activation output, the post-dropout output, the output gradient,
-/// the inverted-dropout mask, and the parameter gradients; plus the
-/// gathered minibatch (`batch_x`/`batch_y`), the validation split, the
-/// fused-loss gradient buffer, and the persistent early-stopping
-/// checkpoint.
+/// The workspace holds, per layer: the post-activation output, the
+/// post-dropout output, the output gradient, the inverted-dropout mask,
+/// and the parameter gradients; plus the gathered minibatch
+/// (`batch_x`/`batch_y`), the validation split, the fused-loss gradient
+/// buffer, and the persistent early-stopping checkpoint.
 #[derive(Debug, Default)]
-pub struct TrainWorkspace {
+pub(crate) struct TrainWorkspace {
     /// Gathered minibatch rows (`Matrix::select_rows_into` target).
     pub(crate) batch_x: Matrix,
     /// Gathered minibatch labels.
@@ -63,7 +63,7 @@ pub struct TrainWorkspace {
 
 impl TrainWorkspace {
     /// An empty workspace; every buffer is sized lazily on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -11,6 +11,11 @@
 //! connection (the per-request socket timeouts and drain semantics
 //! apply to every exchange on the connection, so a slow-loris second
 //! request dies to the same read timeout as a first).
+//!
+//! Framing follows RFC 9112 §6.3 strictly: a request is delimited by
+//! its `Content-Length` alone. Differing `Content-Length` values and any
+//! `Transfer-Encoding` are refused with a 400, because a proxy in front
+//! could frame either one differently (request smuggling).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -38,7 +43,10 @@ const MAX_HEADERS: usize = 64;
 
 /// How reading a request can fail. Each variant maps to a specific
 /// response (or, for [`HttpError::Closed`] and
-/// [`HttpError::Disconnected`], to none at all).
+/// [`HttpError::Disconnected`], to none at all). The connection loop
+/// also tells the no-byte cases ([`HttpError::Closed`],
+/// [`HttpError::IdleTimeout`]) apart from their mid-request twins: on a
+/// kept-alive connection they end the conversation normally.
 #[derive(Debug)]
 pub enum HttpError {
     /// Structurally invalid request → `400` with a typed error body.
@@ -52,6 +60,10 @@ pub enum HttpError {
     },
     /// The socket read timed out mid-request (slow-loris) → `408`.
     Timeout,
+    /// The socket read timed out before any byte of a request arrived
+    /// → `408` on a connection's first request; after a completed
+    /// exchange, the normal end of an idle kept-alive conversation.
+    IdleTimeout,
     /// The client closed the connection before sending any byte of a
     /// request: the normal end of a kept-alive conversation, or a
     /// connection that never carried one.
@@ -71,6 +83,7 @@ impl std::fmt::Display for HttpError {
                 write!(f, "body of {declared} bytes exceeds the {limit}-byte limit")
             }
             HttpError::Timeout => write!(f, "read timed out mid-request"),
+            HttpError::IdleTimeout => write!(f, "read timed out before a request"),
             HttpError::Closed => write!(f, "client closed the connection before a request"),
             HttpError::Disconnected => write!(f, "client disconnected mid-request"),
             HttpError::Io(e) => write!(f, "socket error: {e}"),
@@ -135,10 +148,11 @@ fn injected_read_fault() -> Option<HttpError> {
     None
 }
 
-/// Read and parse one request off `stream`, honoring `limits`. The
-/// stream's read timeout must already be configured by the caller; a
-/// timeout mid-head or mid-body surfaces as [`HttpError::Timeout`].
-pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Request, HttpError> {
+/// Read and parse one request off `stream`, honoring `limits`. A
+/// socket's read timeout must already be configured by the caller; a
+/// timeout before the first byte surfaces as [`HttpError::IdleTimeout`],
+/// one mid-head or mid-body as [`HttpError::Timeout`].
+pub fn read_request<R: Read>(stream: &mut R, limits: &HttpLimits) -> Result<Request, HttpError> {
     if let Some(e) = injected_read_fault() {
         return Err(e);
     }
@@ -146,17 +160,30 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
     // ---- head: read until the blank line, never past the cap ----
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
+    let head_too_large = || {
+        HttpError::BadRequest(format!(
+            "request head exceeds {} bytes",
+            limits.max_head_bytes
+        ))
+    };
+    // Scan only the bytes new since the last read (plus the three a
+    // terminator could straddle), so a client trickling its head one
+    // byte per read costs linear, not quadratic, time.
+    let mut scanned = 0;
     let head_end = loop {
-        if let Some(p) = find_head_end(&buf) {
-            break p;
+        if let Some(p) = find_head_end(&buf[scanned..]) {
+            break scanned + p;
         }
-        if buf.len() > limits.max_head_bytes {
-            return Err(HttpError::BadRequest(format!(
-                "request head exceeds {} bytes",
-                limits.max_head_bytes
-            )));
+        scanned = buf.len().saturating_sub(3);
+        // A terminator still to come starts at `len − 3` or later; past
+        // this point the head cannot fit, however the reads split it.
+        if buf.len() > limits.max_head_bytes + 3 {
+            return Err(head_too_large());
         }
-        let n = stream.read(&mut chunk).map_err(classify)?;
+        let n = match stream.read(&mut chunk).map_err(classify) {
+            Err(HttpError::Timeout) if buf.is_empty() => return Err(HttpError::IdleTimeout),
+            r => r?,
+        };
         if n == 0 {
             // EOF without a complete head: nothing-at-all is a close
             // between requests (or a probe); a partial head is a
@@ -169,6 +196,9 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
         }
         buf.extend_from_slice(&chunk[..n]);
     };
+    if head_end > limits.max_head_bytes {
+        return Err(head_too_large());
+    }
 
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| HttpError::BadRequest("request head is not UTF-8".into()))?;
@@ -212,11 +242,32 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
         body: Vec::new(),
     };
 
+    // ---- framing: one content-length, no transfer coding ----
+    if request.header("transfer-encoding").is_some() {
+        return Err(HttpError::BadRequest(
+            "transfer-encoding is not supported; frame the body with content-length".into(),
+        ));
+    }
+    let mut declared: Option<usize> = None;
+    for (_, v) in request
+        .headers
+        .iter()
+        .filter(|(k, _)| k == "content-length")
+    {
+        let n = v
+            .parse::<usize>()
+            .map_err(|_| HttpError::BadRequest(format!("unparseable content-length {v:?}")))?;
+        if declared.is_some_and(|d| d != n) {
+            return Err(HttpError::BadRequest(
+                "conflicting content-length headers".into(),
+            ));
+        }
+        declared = Some(n);
+    }
+
     // ---- body: length-delimited, rejected before buffering ----
-    let content_length = match request.header("content-length") {
-        Some(v) => v.parse::<usize>().map_err(|_| {
-            HttpError::BadRequest(format!("unparseable content-length {v:?}"))
-        })?,
+    let content_length = match declared {
+        Some(n) => n,
         None if request.method == "POST" || request.method == "PUT" => {
             return Err(HttpError::BadRequest(
                 "POST requires a content-length header".into(),
@@ -397,7 +448,7 @@ pub fn error_response(e: &HttpError) -> Option<Response> {
             "payload-too-large",
             &format!("declared body of {declared} bytes exceeds the {limit}-byte cap"),
         )),
-        HttpError::Timeout => Some(Response::error(
+        HttpError::Timeout | HttpError::IdleTimeout => Some(Response::error(
             408,
             "request-timeout",
             "socket read timed out before the request completed",
@@ -410,6 +461,119 @@ pub fn error_response(e: &HttpError) -> Option<Response> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::ErrorKind;
+
+    /// A client that hands out `bytes` at most `step` bytes per read,
+    /// then ends with `end` (an error kind) or, when `None`, with EOF.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+        end: Option<ErrorKind>,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.bytes.is_empty() {
+                return match self.end {
+                    Some(kind) => Err(kind.into()),
+                    None => Ok(0),
+                };
+            }
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn parse(bytes: &[u8], step: usize, end: Option<ErrorKind>) -> Result<Request, HttpError> {
+        let mut client = Trickle { bytes, step, end };
+        read_request(&mut client, &HttpLimits::default())
+    }
+
+    fn refusal(bytes: &[u8]) -> String {
+        match parse(bytes, 4096, None) {
+            Err(HttpError::BadRequest(m)) => m,
+            other => panic!("expected a 400, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_request_split_across_reads_parses_like_the_unsplit_bytes() {
+        let wire = b"POST /score?x=1 HTTP/1.1\r\nhost: test\r\nconnection: keep-alive\r\n\
+                     content-length: 27\r\n\r\n{\"pairs\":[[\"a\",\"b\"]],\"k\":1}";
+        let whole = parse(wire, wire.len(), None).unwrap();
+        assert_eq!(
+            (whole.method.as_str(), whole.path.as_str()),
+            ("POST", "/score?x=1")
+        );
+        assert_eq!(whole.body.len(), 27);
+        for step in [1, 2, 3, 5, 64] {
+            let split = parse(wire, step, None).unwrap();
+            assert_eq!(split.method, whole.method, "step {step}");
+            assert_eq!(split.path, whole.path, "step {step}");
+            assert_eq!(split.headers, whole.headers, "step {step}");
+            assert_eq!(split.body, whole.body, "step {step}");
+        }
+    }
+
+    #[test]
+    fn a_head_over_the_cap_is_refused_however_it_is_split() {
+        let limits = HttpLimits::default();
+        let filler = "x".repeat(limits.max_head_bytes);
+        let wire = format!("GET / HTTP/1.1\r\nx-pad: {filler}\r\n\r\n");
+        for step in [1, 4096, wire.len()] {
+            assert!(
+                matches!(
+                    parse(wire.as_bytes(), step, None),
+                    Err(HttpError::BadRequest(_))
+                ),
+                "step {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn differing_content_lengths_are_refused() {
+        let m = refusal(
+            b"POST /score HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 6\r\n\r\nhello!",
+        );
+        assert!(m.contains("conflicting content-length"), "{m}");
+        // Repeating the same value frames the body one way only.
+        let same = b"POST /score HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        assert_eq!(parse(same, 4096, None).unwrap().body, b"hello");
+    }
+
+    #[test]
+    fn any_transfer_encoding_is_refused() {
+        for wire in [
+            &b"POST /score HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"[..],
+            b"POST /score HTTP/1.1\r\ncontent-length: 5\r\nTransfer-Encoding: chunked\r\n\r\nhello",
+            b"GET /healthz HTTP/1.1\r\ntransfer-encoding: identity\r\n\r\n",
+        ] {
+            let m = refusal(wire);
+            assert!(m.contains("transfer-encoding"), "{m}");
+        }
+    }
+
+    #[test]
+    fn a_timeout_or_close_before_the_first_byte_is_told_apart() {
+        let timed_out = Some(ErrorKind::WouldBlock);
+        assert!(matches!(
+            parse(b"", 1, timed_out),
+            Err(HttpError::IdleTimeout)
+        ));
+        assert!(matches!(parse(b"", 1, None), Err(HttpError::Closed)));
+        let head = b"POST /score HTTP/1.1\r\ncontent-le";
+        assert!(matches!(parse(head, 4, timed_out), Err(HttpError::Timeout)));
+        assert!(matches!(parse(head, 4, None), Err(HttpError::Disconnected)));
+        let body = b"POST /score HTTP/1.1\r\ncontent-length: 9\r\n\r\n{\"pa";
+        assert!(matches!(
+            parse(body, 4, Some(ErrorKind::TimedOut)),
+            Err(HttpError::Timeout)
+        ));
+        assert!(matches!(parse(body, 4, None), Err(HttpError::Disconnected)));
+    }
 
     /// A writer that records every `write` call separately.
     #[derive(Default)]

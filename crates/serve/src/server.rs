@@ -317,8 +317,9 @@ fn serve_connection(state: &ServeState, mut stream: TcpStream) {
                     // staying silent past the socket timeout, is a
                     // normal end of conversation: no error, no
                     // disconnect. A close partway through a request
-                    // still counts as one.
-                    _ if served > 0 && matches!(e, HttpError::Timeout | HttpError::Closed) => {}
+                    // still counts as one, and a stall partway through
+                    // gets its 408 like a first request's.
+                    _ if served > 0 && matches!(e, HttpError::IdleTimeout | HttpError::Closed) => {}
                     Some(resp) => {
                         state.metrics.client_errors.fetch_add(1, Ordering::Relaxed);
                         write_response(state, &mut stream, &resp);

@@ -64,11 +64,14 @@ fi
 echo "==> kernel-equivalence suites: bit-parallel/banded/SIMD vs reference"
 # The PR6 fast paths (Myers bit-vector Levenshtein, banded OSA/Damerau,
 # SSE2 embedding lanes) each keep their reference implementation
-# in-tree with equivalence tests; run them at both the serial and a
+# in-tree with equivalence tests, and leapme-nn checks its matmul row
+# partitioning and its one training loop bit for bit against the
+# test-only allocating oracle; run them at both the serial and a
 # multi-worker thread count so the dispatch seams are covered either
 # way.
 for t in 1 4; do
     echo "    LEAPME_THREADS=$t"
+    LEAPME_THREADS=$t cargo test -q -p leapme-nn
     LEAPME_THREADS=$t cargo test -q -p leapme-textsim
     LEAPME_THREADS=$t cargo test -q -p leapme-embedding kernels
     LEAPME_THREADS=$t cargo test -q -p leapme-features pair_table

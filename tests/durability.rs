@@ -10,7 +10,7 @@
 //!   bits surface as typed checkpoint errors — a damaged file is never
 //!   loaded silently.
 
-use leapme::core::pipeline::{DurableFitOptions, Leapme, LeapmeConfig, LeapmeModel};
+use leapme::core::pipeline::{FitControl, Leapme, LeapmeConfig, LeapmeModel};
 use leapme::core::runner::{run_repeated, run_repeated_durable, RunnerConfig};
 use leapme::core::CoreError;
 use leapme::nn::network::TrainConfig;
@@ -53,7 +53,7 @@ fn fixture(seed: u64) -> (Dataset, EmbeddingStore) {
 fn fit_and_pairs(
     dataset: &Dataset,
     store: &PropertyFeatureStore,
-    opts: &DurableFitOptions<'_>,
+    opts: &FitControl<'_>,
 ) -> (Result<LeapmeModel, CoreError>, Vec<PropertyPair>) {
     let train_sources = vec![SourceId(0), SourceId(1), SourceId(2), SourceId(3)];
     let mut rng = StdRng::seed_from_u64(9);
@@ -69,7 +69,7 @@ fn fit_and_pairs(
 fn saved_model_scores_bitwise_identically_end_to_end() {
     let (dataset, embeddings) = fixture(31);
     let store = PropertyFeatureStore::build(&dataset, &embeddings);
-    let (model, test) = fit_and_pairs(&dataset, &store, &DurableFitOptions::default());
+    let (model, test) = fit_and_pairs(&dataset, &store, &FitControl::default());
     let model = model.unwrap();
 
     let path = tmp("e2e_roundtrip.lmp");
@@ -93,7 +93,7 @@ fn interrupted_training_resumes_bitwise_identically() {
     let _ = std::fs::remove_file(&ckpt);
 
     // Uninterrupted reference run.
-    let (reference, test) = fit_and_pairs(&dataset, &store, &DurableFitOptions::default());
+    let (reference, test) = fit_and_pairs(&dataset, &store, &FitControl::default());
     let reference = reference.unwrap().score_pairs(&store, &test).unwrap();
 
     // Cancel mid-schedule: the poll counter lets a few epochs through,
@@ -103,7 +103,7 @@ fn interrupted_training_resumes_bitwise_identically() {
     let (cancelled, _) = fit_and_pairs(
         &dataset,
         &store,
-        &DurableFitOptions {
+        &FitControl {
             checkpoint_path: Some(&ckpt),
             cancel: Some(&cancel),
             ..Default::default()
@@ -119,7 +119,7 @@ fn interrupted_training_resumes_bitwise_identically() {
     let (resumed, test) = fit_and_pairs(
         &dataset,
         &store,
-        &DurableFitOptions {
+        &FitControl {
             checkpoint_path: Some(&ckpt),
             resume: true,
             ..Default::default()
@@ -169,7 +169,7 @@ mod faults {
     fn torn_checkpoint_write_is_detected_and_recoverable() {
         let (dataset, embeddings) = fixture(34);
         let store = PropertyFeatureStore::build(&dataset, &embeddings);
-        let (model, test) = fit_and_pairs(&dataset, &store, &DurableFitOptions::default());
+        let (model, test) = fit_and_pairs(&dataset, &store, &FitControl::default());
         let model = model.unwrap();
         let path = tmp("faulty_torn.lmp");
         let _ = std::fs::remove_file(&path);
@@ -196,7 +196,7 @@ mod faults {
     fn short_read_and_bit_flip_are_typed_errors_never_silent() {
         let (dataset, embeddings) = fixture(35);
         let store = PropertyFeatureStore::build(&dataset, &embeddings);
-        let (model, _) = fit_and_pairs(&dataset, &store, &DurableFitOptions::default());
+        let (model, _) = fit_and_pairs(&dataset, &store, &FitControl::default());
         let model = model.unwrap();
         let path = tmp("faulty_read.lmp");
         model.save(&path).unwrap();

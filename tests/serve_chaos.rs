@@ -784,9 +784,10 @@ fn keep_alive_is_granted_explicitly_and_bounded_by_the_budget() {
     assert!(handle.join().clean);
 }
 
-/// A kept-alive client that hangs up after a completed exchange ends
-/// the conversation normally; one that hangs up partway through its
-/// next request is a disconnect.
+/// A kept-alive client that hangs up, or falls silent, after a
+/// completed exchange ends the conversation normally; one that hangs
+/// up partway through its next request is a disconnect, and one that
+/// stalls partway through it gets a 408 and a client error.
 #[test]
 fn a_close_between_kept_alive_requests_is_not_a_disconnect() {
     use std::sync::atomic::Ordering::Relaxed;
@@ -827,6 +828,41 @@ fn a_close_between_kept_alive_requests_is_not_a_disconnect() {
         1,
         "a close mid-request"
     );
+
+    // Silence past the 400 ms io timeout after an exchange: the server
+    // closes without a reply and counts nothing.
+    let errors_before = state.metrics.client_errors.load(Relaxed);
+    let mut idle = TcpStream::connect(addr).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert_eq!(status_of(&exchange(&mut idle, keep_alive_get)), 200);
+    let mut rest = Vec::new();
+    idle.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "an idle close wrote {rest:?}");
+    settled();
+    assert_eq!(state.metrics.client_errors.load(Relaxed), errors_before);
+    assert_eq!(state.metrics.disconnects.load(Relaxed), 1, "an idle close");
+
+    // Half of the next request, then a stall past the timeout: a 408,
+    // counted as a client error, as for a first request.
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert_eq!(status_of(&exchange(&mut stalled, keep_alive_get)), 200);
+    stalled
+        .write_all(b"POST /score HTTP/1.1\r\ncontent-le")
+        .unwrap();
+    let mut reply = String::new();
+    let _ = stalled.read_to_string(&mut reply);
+    assert_eq!(status_of(&reply), 408, "a stall mid-request: {reply}");
+    settled();
+    assert_eq!(
+        state.metrics.client_errors.load(Relaxed),
+        errors_before + 1,
+        "a stall mid-request"
+    );
+    assert_eq!(state.metrics.disconnects.load(Relaxed), 1);
 
     handle.shutdown();
     assert!(handle.join().clean);
